@@ -44,6 +44,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.errors import finite_float
+
 # Re-exported from the foundation layer so existing callers keep this
 # import path; the implementation lives in repro.stats, low enough for
 # the simulation layer (core/faults.py) to use without importing upward.
@@ -90,10 +92,12 @@ def poisson_arrivals(
     Vectorized, but bit-identical to :func:`_poisson_arrivals_loop` for
     every (seed, rate): the uniforms come from the same Mersenne
     Twister stream and the exponential transform applies libm's log to
-    each draw, exactly as ``Random.expovariate`` does.
+    each draw, exactly as ``Random.expovariate`` does.  A non-finite
+    ``rate`` raises :class:`~repro.errors.ConfigError`.
     """
     if n_jobs < 1:
         raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+    rate = finite_float(rate, "arrival rate")
     if rate <= 0:
         raise ValueError(f"arrival rate must be > 0, got {rate}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
@@ -166,6 +170,10 @@ class AdmissionPolicy:
             raise ValueError(
                 "an admission policy needs slo_p99 and/or max_queue_depth"
             )
+        # A NaN SLO compares false against every prediction, so it
+        # would silently admit everything.
+        if self.slo_p99 is not None:
+            finite_float(self.slo_p99, "slo_p99")
         if self.slo_p99 is not None and self.slo_p99 <= 0:
             raise ValueError(f"slo_p99 must be > 0, got {self.slo_p99}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:

@@ -76,7 +76,7 @@ all four backends.
 
 from __future__ import annotations
 
-from dataclasses import replace
+from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
@@ -105,16 +105,18 @@ class SimulationBackend(Protocol):
     def supports(
         self,
         executor: "PipelineExecutor",
-        shard_jobs: list[tuple["Pipeline", "Schedule"]],
+        shard_jobs: Sequence[tuple["Pipeline", "Schedule"]],
     ) -> bool:
         """Cheap structural capability check (shape only — a backend may
-        still decline in :meth:`simulate`)."""
+        still decline in :meth:`simulate`).  The executor passes each
+        shard as a :class:`JobTable`; reading its ``templates`` keeps
+        the check once per distinct job."""
         ...
 
     def simulate(
         self,
         executor: "PipelineExecutor",
-        shard_jobs: list[tuple["Pipeline", "Schedule"]],
+        shard_jobs: Sequence[tuple["Pipeline", "Schedule"]],
         shard_arrivals: list[float] | None,
         lane_log: dict[str, list[tuple[float, float]]],
     ) -> ShardResult | None:
@@ -131,25 +133,54 @@ class SimulationBackend(Protocol):
         ...
 
 
-def _superjob_groups(
-    shard_jobs: list,
-) -> tuple[list[list[int]], list[int]]:
-    """Group shard positions into super-jobs by pipeline/schedule object
-    identity (what the framework's signature caches hand out for
-    duplicate jobs).  Returns the member lists per group and each
-    position's group index."""
-    group_index: dict[tuple[int, int], int] = {}
-    group_members: list[list[int]] = []
-    member_group: list[int] = []
-    for position, (pipeline, schedule) in enumerate(shard_jobs):
-        key = (id(pipeline), id(schedule))
-        group = group_index.get(key)
-        if group is None:
-            group = group_index[key] = len(group_members)
-            group_members.append([])
-        group_members[group].append(position)
-        member_group.append(group)
-    return group_members, member_group
+class JobTable(Sequence):
+    """A batch of ``(pipeline, schedule)`` jobs stored by distinct
+    template: ``templates[t]`` is one distinct pair of pipeline and
+    schedule *objects* (first-occurrence order — what the framework's
+    signature caches hand out for duplicate jobs), and
+    ``job_template[j]`` is job ``j``'s template.
+
+    Indexing and iteration yield per-job pairs, so a table stands in
+    wherever a job list does (third-party backends keep working).  The
+    executor and the built-in backends read the columns instead, so
+    sharding, super-job grouping, capability checks and report
+    templates cost once per template, not once per job.  Each template
+    is one signature-coalesced super-job."""
+
+    __slots__ = ("templates", "job_template")
+
+    def __init__(self, templates: list, job_template: list[int]):
+        self.templates = templates
+        self.job_template = job_template
+
+    @classmethod
+    def of(cls, jobs) -> "JobTable":
+        """``jobs`` as a table (returned as is when it already is one),
+        grouping pairs by pipeline/schedule object identity."""
+        if isinstance(jobs, JobTable):
+            return jobs
+        index: dict[tuple[int, int], int] = {}
+        templates: list = []
+        job_template: list[int] = []
+        for pipeline, schedule in jobs:
+            key = (id(pipeline), id(schedule))
+            template = index.get(key)
+            if template is None:
+                template = index[key] = len(templates)
+                templates.append((pipeline, schedule))
+            job_template.append(template)
+        return cls(templates, job_template)
+
+    def __len__(self) -> int:
+        return len(self.job_template)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self.templates[t] for t in self.job_template[index]]
+        return self.templates[self.job_template[index]]
+
+    def __iter__(self):
+        return map(self.templates.__getitem__, self.job_template)
 
 
 def _replay_shard(
@@ -161,43 +192,48 @@ def _replay_shard(
     lane_log,
 ) -> ShardResult | None:
     """The shared replay scaffold both slim backends run: coalesce the
-    shard into super-jobs, ``flatten`` each group once into its replay
-    input (returning ``(None, overhead)`` to decline the whole shard,
-    e.g. on a zero-duration task), ``replay`` the per-replica input
-    lists, rebuild per-job reports from the group templates, and file
-    the replay's per-resource occupancy intervals into ``lane_log``
-    under the interned resources' lane names."""
-    group_members, member_group = _superjob_groups(shard_jobs)
+    shard into super-jobs (its :class:`JobTable` templates), ``flatten``
+    each template once into its replay input (returning
+    ``(None, overhead)`` to decline the whole shard, e.g. on a
+    zero-duration task), ``replay`` the per-replica input lists,
+    rebuild per-job reports from the template reports, and file the
+    replay's per-resource occupancy intervals into ``lane_log`` under
+    the interned resources' lane names."""
+    table = JobTable.of(shard_jobs)
     resource_ids: dict[object, int] = {}
-    group_inputs: list = []
-    group_template: list = []
-    for members in group_members:
-        pipeline, schedule = shard_jobs[members[0]]
+    template_inputs: list = []
+    template_reports: list = []
+    for pipeline, schedule in table.templates:
         flattened, overhead_total = flatten(
             executor, pipeline, schedule, resource_ids
         )
         if flattened is None:  # degenerate zero-duration task
             return None
-        group_inputs.append(flattened)
-        group_template.append(
+        template_inputs.append(flattened)
+        template_reports.append(
             executor._job_report(pipeline, schedule, overhead_total, 0.0)
         )
-    n = len(shard_jobs)
     finish, makespan, occupancy = replay(
-        [group_inputs[group] for group in member_group],
-        [0.0] * n if shard_arrivals is None else shard_arrivals,
+        [template_inputs[t] for t in table.job_template],
+        [0.0] * len(table) if shard_arrivals is None else shard_arrivals,
         len(resource_ids),
     )
+    _file_occupancy(resource_ids, occupancy, lane_log)
+    reports = [
+        template_reports[t].at(time)
+        for t, time in zip(table.job_template, finish)
+    ]
+    return reports, makespan, len(table.templates)
+
+
+def _file_occupancy(resource_ids, occupancy, lane_log) -> None:
+    """File a replay's per-resource occupancy intervals into
+    ``lane_log`` under the interned resources' lane names."""
     from repro.core.executor import lane_name
 
     for key, index in resource_ids.items():
         if occupancy[index]:
             lane_log.setdefault(lane_name(key), []).extend(occupancy[index])
-    reports = [
-        replace(group_template[member_group[position]], total_time=t)
-        for position, t in enumerate(finish)
-    ]
-    return reports, makespan, len(group_members)
 
 
 class EngineBackend:
@@ -289,7 +325,7 @@ class ChainReplayBackend:
     def supports(self, executor, shard_jobs) -> bool:
         return all(
             executor._is_single_chain(pipeline)
-            for pipeline, _schedule in shard_jobs
+            for pipeline, _schedule in JobTable.of(shard_jobs).templates
         )
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
@@ -378,48 +414,40 @@ class VectorReplayBackend:
     name = "vector_replay"
 
     def supports(self, executor, shard_jobs) -> bool:
-        group_members, _ = _superjob_groups(shard_jobs)
-        return len(group_members) == 1
+        return len(JobTable.of(shard_jobs).templates) == 1
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        if not self.supports(executor, shard_jobs):
+        table = JobTable.of(shard_jobs)
+        if len(table.templates) != 1:
             return None
-        pipeline, schedule = shard_jobs[0]
+        pipeline, schedule = table.templates[0]
         resource_ids: dict[object, int] = {}
         program, overhead_total = DagReplayBackend._dag_program(
             executor, pipeline, schedule, resource_ids
         )
         if program is None:  # degenerate zero-duration task
             return None
-        n = len(shard_jobs)
         result = replay_vector_batch(
             program,
-            [0.0] * n if shard_arrivals is None else shard_arrivals,
+            [0.0] * len(table) if shard_arrivals is None else shard_arrivals,
             len(resource_ids),
         )
         if result is None:  # wave order unprovable: tie/interleaving
             return None
         finish, makespan, occupancy = result
-        from repro.core.executor import lane_name
-
-        for key, index in resource_ids.items():
-            if occupancy[index]:
-                lane_log.setdefault(lane_name(key), []).extend(
-                    occupancy[index]
-                )
+        _file_occupancy(resource_ids, occupancy, lane_log)
         template = executor._job_report(
             pipeline, schedule, overhead_total, 0.0
         )
-        reports = [replace(template, total_time=t) for t in finish]
-        return reports, makespan, 1
+        return list(map(template.at, finish)), makespan, 1
 
     def unsupported_reason(self, executor, shard_jobs) -> str:
-        group_members, _ = _superjob_groups(shard_jobs)
-        if len(group_members) != 1:
+        templates = JobTable.of(shard_jobs).templates
+        if len(templates) != 1:
             return CROSS_SIGNATURE_REASON_TEMPLATE.format(
-                count=len(group_members)
+                count=len(templates)
             )
-        pipeline, schedule = shard_jobs[0]
+        pipeline, schedule = templates[0]
         program, _overhead = DagReplayBackend._dag_program(
             executor, pipeline, schedule, {}
         )

@@ -37,11 +37,12 @@ from time import perf_counter
 from typing import Callable, Sequence
 
 import repro.core.backends as _backends
+from repro.core.backends import JobTable
 from repro.core.cost_model import OffloadCostModel
 from repro.core.faults import FaultPlan, RunFailure
 from repro.core.pipeline import Pipeline
 from repro.core.scheduler import Placement, Schedule
-from repro.errors import SimulationError
+from repro.errors import SimulationError, finite_floats
 from repro.hw.engine import Engine, Resource, SimProcess
 from repro.hw.timing import PhaseTime
 
@@ -85,6 +86,18 @@ class ExecutionReport:
     scheduling_overhead: float
     total_time: float
     assignments: dict[str, Placement] = field(default_factory=dict)
+
+    def at(self, total_time: float) -> "ExecutionReport":
+        """This report with another ``total_time`` — how a super-job's
+        template report becomes each replica's (every other field is
+        shared, not copied)."""
+        return ExecutionReport(
+            self.phase_seconds,
+            self.phase_times,
+            self.scheduling_overhead,
+            total_time,
+            self.assignments,
+        )
 
     @property
     def overhead_fraction(self) -> float:
@@ -550,6 +563,12 @@ class PipelineExecutor:
         """Execute every (pipeline, schedule) job concurrently on one
         shared set of devices.
 
+        ``jobs`` is any sequence of pairs; a :class:`JobTable` (what the
+        framework passes) is used as is, anything else is grouped by
+        pipeline/schedule object identity once, up front.  Sharding,
+        super-job grouping and the backends' capability checks then run
+        once per distinct pair, not once per job.
+
         ``arrivals`` turns the closed batch into an open queue: job ``i``
         is released at offset ``arrivals[i]`` (seconds of virtual time,
         non-negative) instead of t=0.  The DES arbitrates device and link
@@ -602,20 +621,20 @@ class PipelineExecutor:
         """
         if not jobs:
             raise SimulationError("execute_many needs at least one job")
-        n = len(jobs)
+        table = JobTable.of(jobs)
+        n = len(table)
         if faults is not None and faults.is_empty:
             faults = None
         if arrivals is not None:
-            arrivals = [float(offset) for offset in arrivals]
+            arrivals = finite_floats(arrivals, "arrival offset", SimulationError)
             if len(arrivals) != n:
                 raise SimulationError(
                     f"{n} jobs but {len(arrivals)} arrival offsets"
                 )
-            for offset in arrivals:
-                if offset < 0:
-                    raise SimulationError(
-                        f"negative arrival offset: {offset}"
-                    )
+            if min(arrivals) < 0:
+                raise SimulationError(
+                    f"negative arrival offset: {min(arrivals)}"
+                )
         forced = None if backend is None else _backends.get_backend(backend)
         if forced is not None and not coalesce and forced.name != _ENGINE_BACKEND:
             raise SimulationError(
@@ -637,7 +656,7 @@ class PipelineExecutor:
             wall_start = perf_counter()
             observer_failures: list = []
             job_reports, makespan = self._execute_batch_engine(
-                jobs,
+                table,
                 range(n),
                 recording,
                 arrivals,
@@ -651,10 +670,8 @@ class PipelineExecutor:
                 wall_seconds=perf_counter() - wall_start,
                 n_jobs=n,
                 n_superjobs=0,
-                n_stages=self._shard_stage_count(jobs),
-                is_chain=all(
-                    self._is_single_chain(p) for p, _s in jobs
-                ),
+                n_stages=self._shard_stage_count(table),
+                is_chain=self._is_chain_shard(table),
             )
             return BatchExecutionReport(
                 job_reports=tuple(job_reports),
@@ -666,19 +683,24 @@ class PipelineExecutor:
                 failures=tuple(observer_failures),
             )
 
-        shards = (
-            self._contention_shards(jobs) if shard else [list(range(n))]
-        )
-        reports: list[ExecutionReport | None] = [None] * n
+        shards = self._contention_shards(table) if shard else [range(n)]
+        # One shard covering the whole batch (the common case: every
+        # job touches the same devices) needs no per-job split/scatter.
+        whole = len(shards) == 1
+        reports: list = [None] * n
         makespan = 0.0
         n_superjobs = 0
         backend_jobs: dict[str, int] = {}
         timings: list[ShardTiming] = []
         failures: list = []
         for indices in shards:
-            shard_jobs = [jobs[i] for i in indices]
+            shard_jobs = (
+                table if whole else JobTable.of(map(table.__getitem__, indices))
+            )
             shard_arrivals = (
-                None if arrivals is None else [arrivals[i] for i in indices]
+                arrivals
+                if whole or arrivals is None
+                else [arrivals[i] for i in indices]
             )
             faulted = faults is not None and faults.affects(
                 self._shard_lane_names(shard_jobs)
@@ -717,15 +739,16 @@ class PipelineExecutor:
                     n_jobs=len(indices),
                     n_superjobs=shard_groups,
                     n_stages=self._shard_stage_count(shard_jobs),
-                    is_chain=all(
-                        self._is_single_chain(p) for p, _s in shard_jobs
-                    ),
+                    is_chain=self._is_chain_shard(shard_jobs),
                 )
             )
             n_superjobs += shard_groups
             backend_jobs[chosen] = backend_jobs.get(chosen, 0) + len(indices)
-            for index, report in zip(indices, shard_reports):
-                reports[index] = report
+            if whole:
+                reports = shard_reports
+            else:
+                for index, report in zip(indices, shard_reports):
+                    reports[index] = report
             if shard_makespan > makespan:
                 makespan = shard_makespan
         return BatchExecutionReport(
@@ -740,20 +763,16 @@ class PipelineExecutor:
             failures=tuple(failures),
         )
 
-    def _shard_lane_names(
-        self, shard_jobs: Sequence[tuple[Pipeline, Schedule]]
-    ) -> set[str]:
+    def _shard_lane_names(self, shard_jobs: JobTable) -> set[str]:
         """All device/wire lane names the shard's schedules can occupy."""
         lanes: set[str] = set()
-        for schedule in {
-            id(schedule): schedule for _pipeline, schedule in shard_jobs
-        }.values():
+        for _pipeline, schedule in shard_jobs.templates:
             lanes.update(self.schedule_lanes(schedule))
         return lanes
 
     def _simulate_faulted_shard(
         self,
-        shard_jobs: Sequence[tuple[Pipeline, Schedule]],
+        shard_jobs: JobTable,
         indices: Sequence[int],
         shard_arrivals: Sequence[float] | None,
         forced,
@@ -810,26 +829,30 @@ class PipelineExecutor:
         return {lane: tuple(ivs) for lane, ivs in lane_log.items()}
 
     @staticmethod
-    def _shard_stage_count(
-        shard_jobs: Sequence[tuple[Pipeline, Schedule]]
-    ) -> int:
+    def _shard_stage_count(shard_jobs: JobTable) -> int:
         """Total stages across the shard's *distinct* pipeline objects
         (replicas coalesce by identity, so a 16k-replica super-job
         counts its template once)."""
         distinct = {
-            id(pipeline): pipeline for pipeline, _schedule in shard_jobs
+            id(pipeline): pipeline for pipeline, _schedule in shard_jobs.templates
         }
         return sum(
             len(pipeline.stage_names) for pipeline in distinct.values()
+        )
+
+    @classmethod
+    def _is_chain_shard(cls, shard_jobs: JobTable) -> bool:
+        """Whether every job of the shard is a single connected chain."""
+        return all(
+            cls._is_single_chain(pipeline)
+            for pipeline, _schedule in shard_jobs.templates
         )
 
     # ------------------------------------------------------------------
     # Batch internals: sharding, coalescing, the engine path
     # ------------------------------------------------------------------
     @staticmethod
-    def _contention_shards(
-        jobs: Sequence[tuple[Pipeline, Schedule]]
-    ) -> list[list[int]]:
+    def _contention_shards(table: JobTable) -> list:
         """Partition job indices into contention components.
 
         Two jobs land in the same shard iff their placements share a
@@ -838,8 +861,13 @@ class PipelineExecutor:
         ever delay — or reorder a grant of — another, so running each
         shard on its own engine reproduces the shared engine's floats
         exactly.  Shards preserve submission order.
+
+        Resource sets are a pure function of the schedule, so the
+        union-find runs over the table's distinct templates; jobs are
+        only touched to split a batch that really is several shards.
         """
-        parent = list(range(len(jobs)))
+        templates = table.templates
+        parent = list(range(len(templates)))
 
         def find(i: int) -> int:
             while parent[i] != i:
@@ -847,34 +875,30 @@ class PipelineExecutor:
                 i = parent[i]
             return i
 
-        # Resource sets are a pure function of the schedule, so compute
-        # them once per distinct schedule object (duplicate jobs share
-        # the object through the framework's caches).
-        touched: dict[int, tuple] = {}
         owner: dict[object, int] = {}
-        for i, (_pipeline, schedule) in enumerate(jobs):
-            keys = touched.get(id(schedule))
-            if keys is None:
-                key_set: set = set(schedule.assignments.values())
-                for pair in schedule.crossing_pairs:
-                    key_set.add(frozenset(pair))
-                keys = touched[id(schedule)] = tuple(key_set)
+        for t, (_pipeline, schedule) in enumerate(templates):
+            keys: set = set(schedule.assignments.values())
+            for pair in schedule.crossing_pairs:
+                keys.add(frozenset(pair))
             for key in keys:
                 claimant = owner.get(key)
                 if claimant is None:
-                    owner[key] = i
+                    owner[key] = t
                 else:
-                    root_a, root_b = find(i), find(claimant)
+                    root_a, root_b = find(t), find(claimant)
                     if root_a != root_b:
                         parent[root_b] = root_a
+        roots = [find(t) for t in range(len(templates))]
+        if len(set(roots)) == 1:
+            return [range(len(table))]
         shards: dict[int, list[int]] = {}
-        for i in range(len(jobs)):
-            shards.setdefault(find(i), []).append(i)
+        for i, t in enumerate(table.job_template):
+            shards.setdefault(roots[t], []).append(i)
         return list(shards.values())
 
     def _simulate_shard(
         self,
-        shard_jobs: list[tuple[Pipeline, Schedule]],
+        shard_jobs: JobTable,
         shard_arrivals: list[float] | None,
         coalesce: bool,
         forced: "_backends.SimulationBackend | None",
@@ -1031,7 +1055,8 @@ class PipelineExecutor:
         backends depends on it."""
         engine = Engine()
         devices = self._device_resources(
-            engine, [schedule for _pipeline, schedule in shard_jobs]
+            engine,
+            [schedule for _pipeline, schedule in JobTable.of(shard_jobs).templates],
         )
         links: dict[frozenset, Resource] = {}
         # Deduplicated batch setup: jobs sharing the same pipeline and

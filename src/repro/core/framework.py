@@ -30,24 +30,38 @@ standalone (solo) DES report — is a pure function of the job's
 content-addressed :class:`~repro.core.signature.JobSignature`, so the
 framework memoizes all four in bounded LRU caches
 (``cache_size`` entries each, eviction counted in ``cache_stats``).
-``run_many([512] * 256)`` schedules, analyzes and solo-times the
-512-atom job exactly once; the shared batch simulation itself is scaled
+
+Batches take the columnar path: entries are validated and grouped by
+distinct job once, at the boundary (atom counts and problems by
+problem, prebuilt pipelines by identity), and every derivation that is
+a pure function of the signature — build, sign, schedule, solo time,
+SCA, footprint, and the executor's sharding and super-job grouping —
+runs once per group.  Per-job work is list indexing plus one
+constructor call per result.  ``run_many([512] * 256)`` schedules,
+analyzes and solo-times the 512-atom job exactly once.  Each cache is
+probed for every group before any miss is filled, so a batch with more
+distinct jobs than ``cache_size`` evicts only the overflow, and the
+counters keep their per-job meaning (on a batch that fits: misses =
+distinct jobs, hits = the rest).  The shared batch simulation is scaled
 out by the executor (signature-coalesced super-jobs, contention-sharded
 engines — bit-identical to the plain shared engine), and cold
 placements of never-seen sizes warm-start the exact DP from the nearest
 same-structure neighbor.  The caches live on the framework, compose
 across calls, and are dropped whenever
 :meth:`NdftFramework.register_target` changes the machine registry.
-``NdftFramework(memoize=False)`` is the escape hatch that re-derives
-everything per job — the serving benchmark
+``NdftFramework(memoize=False)`` is the degenerate grouping where every
+job is its own group and nothing is cached — the serving benchmark
 (:mod:`repro.experiments.scale_serving`) uses it as the "before"
 measurement and asserts the results are identical either way.
 """
 
 from __future__ import annotations
 
+import operator
 import pickle
+from collections import Counter
 from dataclasses import dataclass, replace
+from operator import itemgetter
 from pathlib import Path
 from typing import Callable, Sequence
 
@@ -63,6 +77,7 @@ from repro.core.executor import (
     BackendTuner,
     BatchExecutionReport,
     ExecutionReport,
+    JobTable,
     PipelineExecutor,
 )
 from repro.core.faults import (
@@ -88,7 +103,7 @@ from repro.core.signature import (
     structure_signature,
     target_registry_fingerprint,
 )
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_floats
 from repro.dft.workload import ProblemSize, problem_size
 from repro.hw.config import SystemConfig, gpu_baseline_config, ndft_system_config
 from repro.hw.cpu import CpuModel
@@ -105,7 +120,7 @@ from repro.shmem.footprint import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NdftRunResult:
     """Everything one NDFT run produces."""
 
@@ -355,6 +370,112 @@ class NdftBatchResult:
         return tuple(
             (result.problem.label, result.report.total_time)
             for result in self.jobs
+        )
+
+
+def _batch_item(position: int, entry) -> ProblemSize | Pipeline:
+    """Validate one batch entry: a prebuilt :class:`Pipeline` or a
+    :class:`ProblemSize` as is, an atom count as its problem.  Atom
+    counts are normalised through :func:`operator.index`, so
+    ``np.int64(64)`` and ``64`` are the same job, while ``True``,
+    ``64.5`` and anything else not integer-like raise
+    :class:`ConfigError` naming the entry's index."""
+    if isinstance(entry, (Pipeline, ProblemSize)):
+        return entry
+    if not isinstance(entry, bool):
+        try:
+            n_atoms = operator.index(entry)
+        except TypeError:
+            pass
+        else:
+            try:
+                return problem_size(n_atoms)
+            except ConfigError as exc:
+                raise ConfigError(f"batch entry {position}: {exc}") from None
+    raise ConfigError(
+        f"batch entry {position} must be an integer atom count, a "
+        f"ProblemSize or a Pipeline; got {type(entry).__name__} {entry!r}"
+    )
+
+
+def _weights(job_group: list[int], n_groups: int) -> list[int]:
+    """How many jobs each group stands for."""
+    weights = [0] * n_groups
+    for group, count in Counter(job_group).items():
+        weights[group] = count
+    return weights
+
+
+@dataclass(slots=True)
+class _JobGroups:
+    """A resolved batch, grouped by distinct job.
+
+    The columns hold one entry per group, in first-occurrence order;
+    ``job_group[j]`` is job ``j``'s group and ``weights[g]`` how many
+    jobs group ``g`` stands for.  Everything that is a pure function of
+    a job's signature is derived once per group; per-job work is list
+    indexing."""
+
+    problems: list[ProblemSize]
+    pipelines: list[Pipeline]
+    signatures: list[JobSignature | None]
+    schedules: list[Schedule]
+    job_group: list[int]
+    weights: list[int]
+
+    @classmethod
+    def from_rows(cls, rows) -> "_JobGroups":
+        """Group per-job ``(problem, pipeline, schedule, signature)``
+        rows by the identity of their problem, pipeline and schedule."""
+        index: dict[tuple[int, int, int], int] = {}
+        columns: list[tuple] = []
+        job_group: list[int] = []
+        for row in rows:
+            key = (id(row[0]), id(row[1]), id(row[2]))
+            group = index.get(key)
+            if group is None:
+                group = index[key] = len(columns)
+                columns.append(row)
+            job_group.append(group)
+        problems, pipelines, schedules, signatures = (
+            [row[k] for row in columns] for k in range(4)
+        )
+        return cls(
+            problems,
+            pipelines,
+            signatures,
+            schedules,
+            job_group,
+            _weights(job_group, len(columns)),
+        )
+
+    def per_job(self, values: list) -> tuple:
+        """A per-group column expanded to one entry per job."""
+        return tuple(map(values.__getitem__, self.job_group))
+
+    def rows(self) -> tuple[tuple, ...]:
+        """Per-job ``(problem, pipeline, schedule, signature)`` rows —
+        the form the admission and fault/retry loops work on."""
+        return self.per_job(
+            list(
+                zip(self.problems, self.pipelines, self.schedules, self.signatures)
+            )
+        )
+
+    def select(self, indices) -> "_JobGroups":
+        """The jobs at ``indices`` (e.g. the ones admission kept)."""
+        rows = self.rows()
+        return _JobGroups.from_rows(rows[i] for i in indices)
+
+    def table(self) -> JobTable:
+        """The executor's view: one template per distinct
+        pipeline/schedule object pair (two groups can resolve to the
+        same pair, e.g. an atom count and the very pipeline the cache
+        built for it)."""
+        distinct = JobTable.of(zip(self.pipelines, self.schedules))
+        return JobTable(
+            distinct.templates,
+            list(map(distinct.job_template.__getitem__, self.job_group)),
         )
 
 
@@ -795,24 +916,17 @@ class NdftFramework:
         Minting reuses the framework's memoized :meth:`fingerprints`
         (derived once per registry version), and with memoization on the
         signature itself is cached by pipeline object identity (entries
-        resolved through the pipeline cache share one object); the
-        cached pipeline is pinned in the value, so a recycled ``id``
-        cannot alias, and registry changes clear the cache through
-        :meth:`register_target`."""
-        registry_fp, cost_fp = self.fingerprints()
+        resolved through the pipeline cache share one object).  The
+        cached value pins the pipeline, so its ``id`` cannot be recycled
+        while the entry lives, and registry changes clear the cache
+        through :meth:`register_target`."""
         if not self.memoize:
-            return job_signature(
-                pipeline,
-                self.policy,
-                self.scheduler,
-                self.cost_model,
-                registry_fp=registry_fp,
-                cost_fp=cost_fp,
-            )
-        entry = self._signature_cache.get(id(pipeline))
-        if entry is not None and entry[0] is pipeline:
-            return entry[1]
-        signature = job_signature(
+            return self._mint_signature(pipeline)
+        return self._signatures([pipeline], [1])[0]
+
+    def _mint_signature(self, pipeline: Pipeline) -> JobSignature:
+        registry_fp, cost_fp = self.fingerprints()
+        return job_signature(
             pipeline,
             self.policy,
             self.scheduler,
@@ -820,8 +934,20 @@ class NdftFramework:
             registry_fp=registry_fp,
             cost_fp=cost_fp,
         )
-        self._signature_cache.put(id(pipeline), (pipeline, signature))
-        return signature
+
+    def _signatures(
+        self, pipelines: list[Pipeline], weights: list[int]
+    ) -> list[JobSignature | None]:
+        """One signature per pipeline through the signature cache
+        (``None`` each under ``memoize=False``: nothing is keyed)."""
+        if not self.memoize:
+            return [None] * len(pipelines)
+        signed = self._signature_cache.lookup_many(
+            [id(pipeline) for pipeline in pipelines],
+            weights,
+            lambda i: (pipelines[i], self._mint_signature(pipelines[i])),
+        )
+        return [signature for _pinned, signature in signed]
 
     # ------------------------------------------------------------------
     # Single job
@@ -833,12 +959,18 @@ class NdftFramework:
         pipeline: Pipeline | None = None,
     ) -> NdftRunResult:
         """Schedule + execute LR-TDDFT for Si_{n_atoms} on the CPU-NDP
-        system and account its memory."""
-        problem, pipeline = self._resolve_job(n_atoms, problem, pipeline)
-        signature = self.job_signature(pipeline) if self.memoize else None
-        schedule = self._schedule_for(pipeline, signature)
-        report = self._solo_report(pipeline, schedule, signature)
-        return self._run_result(problem, pipeline, schedule, report)
+        system and account its memory.  A batch of one: the same
+        validation, caches and assembly as :meth:`run_many`'s entries
+        (a ``problem`` passed with a prebuilt ``pipeline`` labels it)."""
+        entry = next(
+            (e for e in (pipeline, problem, n_atoms) if e is not None), None
+        )
+        if entry is None:
+            raise ConfigError("pass n_atoms, problem or pipeline")
+        groups = self._resolve_batch([entry], build_pipeline)
+        if problem is not None:
+            groups.problems[0] = problem
+        return self._assemble(groups, self._group_solo_reports(groups))[0]
 
     # ------------------------------------------------------------------
     # Batched jobs
@@ -892,9 +1024,12 @@ class NdftFramework:
         percentiles and queueing delays.
 
         With memoization on (the default), duplicate jobs in the batch
-        are deduplicated through the signature caches: each distinct
-        signature is built, scheduled, analyzed and solo-timed once, and
-        only the shared-machine simulation sees every submitted job.
+        are grouped at the boundary: each distinct job is built,
+        scheduled, analyzed and solo-timed once, and only the
+        shared-machine simulation sees every submitted job.  Entries
+        that are not a ``Pipeline``, a ``ProblemSize`` or a non-bool
+        integer (``np.int64`` included), and non-finite ``arrivals``,
+        raise :class:`~repro.errors.ConfigError` naming the index.
         ``coalesce``/``shard`` control the executor's scale-out fast
         path (signature-coalesced super-jobs, contention-sharded
         engines); ``backend`` forces one named simulation backend for
@@ -943,23 +1078,24 @@ class NdftFramework:
                 "retry= only makes sense under fault injection: pass "
                 "faults= (a FaultPlan) alongside it"
             )
+        if arrivals is not None:
+            arrivals = finite_floats(arrivals, "arrival offset")
         builder = pipeline_builder or build_pipeline
-        jobs = self._resolve_batch(batch, builder)
+        groups = self._resolve_batch(batch, builder)
 
         # Solo (dedicated-machine) makespans first: the admission
         # controller's completion estimates need them, and they are
         # pure per-signature derivations — computing them before or
         # after the shared simulation changes nothing.
-        solo_times = tuple(
-            self._solo_report(pipeline, schedule, signature).total_time
-            for _p, pipeline, schedule, signature in jobs
+        solo_times = groups.per_job(
+            [report.total_time for report in self._group_solo_reports(groups)]
         )
         admission_result = None
         if admission is not None:
-            jobs, arrivals, solo_times, admission_result = self._admit(
-                admission, jobs, arrivals, solo_times
+            executed, arrivals, admission_result = self._admit(
+                admission, groups, arrivals, solo_times
             )
-            if not jobs:  # everything shed: nothing to simulate
+            if not executed:  # everything shed: nothing to simulate
                 return NdftBatchResult(
                     jobs=(),
                     batch_report=BatchExecutionReport(
@@ -979,10 +1115,12 @@ class NdftFramework:
                         )
                     ),
                 )
+            groups = groups.select(executed)
+            solo_times = tuple(solo_times[i] for i in executed)
 
         if faults is not None:
             return self._run_resilient(
-                jobs,
+                groups.rows(),
                 arrivals,
                 solo_times,
                 faults,
@@ -994,27 +1132,16 @@ class NdftFramework:
             )
 
         batch_report = self.executor.execute_many(
-            [(pipeline, schedule) for _p, pipeline, schedule, _s in jobs],
+            groups.table(),
             arrivals=arrivals,
             coalesce=coalesce,
             shard=shard,
             backend=backend,
             tuner=self._backend_tuner,
         )
-        for name, count in batch_report.backend_jobs.items():
-            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
-        for name, wall in batch_report.backend_wall_seconds.items():
-            self._backend_wall[name] = (
-                self._backend_wall.get(name, 0.0) + wall
-            )
-        results = tuple(
-            self._run_result(problem, pipeline, schedule, report)
-            for (problem, pipeline, schedule, _s), report in zip(
-                jobs, batch_report.job_reports
-            )
-        )
+        self._count_backends(batch_report)
         return NdftBatchResult(
-            jobs=results,
+            jobs=self._assemble(groups, batch_report.job_reports),
             batch_report=batch_report,
             solo_times=solo_times,
             admission=admission_result,
@@ -1024,30 +1151,87 @@ class NdftFramework:
         self,
         batch: Sequence[int | ProblemSize | Pipeline],
         builder: Callable[[ProblemSize], Pipeline],
-    ) -> list[tuple[ProblemSize, Pipeline, Schedule, JobSignature | None]]:
-        """Resolve batch entries (atom counts, problems, pipelines) into
-        scheduled jobs, deduplicating through the signature caches when
-        memoization is on.  Shared by :meth:`run_many` and
-        :meth:`job_estimates` so both see identical jobs."""
-        problems: dict[int, ProblemSize] = {}
-        jobs: list[
-            tuple[ProblemSize, Pipeline, Schedule, JobSignature | None]
-        ] = []
-        for entry in batch:
-            if isinstance(entry, Pipeline):
-                problem, pipeline = entry.problem, entry
-            elif isinstance(entry, ProblemSize):
-                problem, pipeline = entry, self._build_pipeline(entry, builder)
-            else:
-                problem = problems.get(entry) if self.memoize else None
-                if problem is None:
-                    problem = problem_size(entry)
-                    problems[entry] = problem
-                pipeline = self._build_pipeline(problem, builder)
-            signature = self.job_signature(pipeline) if self.memoize else None
-            schedule = self._schedule_for(pipeline, signature)
-            jobs.append((problem, pipeline, schedule, signature))
-        return jobs
+    ) -> _JobGroups:
+        """Validate, group and resolve batch entries (atom counts,
+        problems, pipelines): each distinct job is built, signed and
+        scheduled once, through the signature caches when memoization
+        is on.  Shared by :meth:`run`, :meth:`run_many` and
+        :meth:`job_estimates` so all see identical jobs."""
+        items, job_group = self._group_batch(batch)
+        weights = _weights(job_group, len(items))
+        problems = [
+            item.problem if isinstance(item, Pipeline) else item
+            for item in items
+        ]
+        pipelines = list(items)
+        sized = [
+            g for g, item in enumerate(items) if not isinstance(item, Pipeline)
+        ]
+        built = self._memo(
+            self._pipeline_cache,
+            [(problems[g], builder) for g in sized] if self.memoize else None,
+            [weights[g] for g in sized],
+            lambda i: builder(problems[sized[i]]),
+        )
+        for g, pipeline in zip(sized, built):
+            pipelines[g] = pipeline
+        signatures = self._signatures(pipelines, weights)
+        schedules = self._schedules(
+            pipelines, signatures if self.memoize else None, weights, frozenset()
+        )
+        return _JobGroups(
+            problems, pipelines, signatures, schedules, job_group, weights
+        )
+
+    def _group_batch(
+        self, batch: Sequence[int | ProblemSize | Pipeline]
+    ) -> tuple[list[ProblemSize | Pipeline], list[int]]:
+        """Validate the entries and group them by distinct job, in
+        first-occurrence order: the distinct items (problems or
+        prebuilt pipelines) and each job's group index.
+
+        Atom counts and :class:`ProblemSize` entries group by problem,
+        prebuilt pipelines by object identity.  Each distinct raw entry
+        is validated once; every other job costs one dict lookup.
+        Under ``memoize=False`` every job is its own group."""
+        batch = list(batch)
+        if not self.memoize:
+            return (
+                [_batch_item(i, entry) for i, entry in enumerate(batch)],
+                list(range(len(batch))),
+            )
+        # The type is part of the key: True == 1 and 64.0 == 64, but
+        # neither is the atom count it equals.  Pipelines key by
+        # identity, never by (deep) value.
+        kinds = list(map(type, batch))
+        if any(issubclass(kind, Pipeline) for kind in set(kinds)):
+            keys = [
+                (Pipeline, id(entry)) if issubclass(kind, Pipeline) else (kind, entry)
+                for kind, entry in zip(kinds, batch)
+            ]
+        else:
+            keys = list(zip(kinds, batch))
+        n = len(keys)
+        try:
+            # key -> its first position (later positions are overwritten
+            # by earlier ones, walking backwards).
+            first = dict(zip(reversed(keys), range(n - 1, -1, -1)))
+        except TypeError:  # an unhashable entry, which no valid one is
+            for position, entry in enumerate(batch):
+                _batch_item(position, entry)
+            raise
+        groups: dict = {}
+        key_group: dict = {}
+        items: list[ProblemSize | Pipeline] = []
+        for key, position in sorted(first.items(), key=itemgetter(1)):
+            item = _batch_item(position, batch[position])
+            merged = key if isinstance(item, Pipeline) else item
+            group = groups.get(merged)
+            if group is None:
+                group = groups[merged] = len(items)
+                items.append(item)
+            key_group[key] = group
+        return items, list(map(key_group.__getitem__, keys))
 
     def job_estimates(
         self,
@@ -1065,20 +1249,26 @@ class NdftFramework:
         if not batch:
             raise ConfigError("job_estimates needs at least one job")
         builder = pipeline_builder or build_pipeline
-        jobs = self._resolve_batch(batch, builder)
-        solo_times = tuple(
-            self._solo_report(pipeline, schedule, signature).total_time
-            for _p, pipeline, schedule, signature in jobs
+        groups = self._resolve_batch(batch, builder)
+        solo_times = groups.per_job(
+            [report.total_time for report in self._group_solo_reports(groups)]
         )
-        lanes = tuple(
-            PipelineExecutor.schedule_lanes(schedule)
-            for _p, _pipe, schedule, _s in jobs
+        lanes = groups.per_job(
+            [PipelineExecutor.schedule_lanes(s) for s in groups.schedules]
         )
         return solo_times, lanes
 
+    def _count_backends(self, report: BatchExecutionReport) -> None:
+        """Fold one batch's per-backend jobs and wall seconds into
+        :attr:`backend_stats`."""
+        for name, count in report.backend_jobs.items():
+            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
+        for name, wall in report.backend_wall_seconds.items():
+            self._backend_wall[name] = self._backend_wall.get(name, 0.0) + wall
+
     def _run_resilient(
         self,
-        jobs: list,
+        jobs: Sequence[tuple],
         arrivals: Sequence[float] | None,
         solo_times: tuple[float, ...],
         faults: FaultPlan,
@@ -1241,10 +1431,7 @@ class NdftFramework:
                 f"{max_rounds} rounds"
             )
 
-        for name, count in report.backend_jobs.items():
-            self._backend_jobs[name] = self._backend_jobs.get(name, 0) + count
-        for name, wall in report.backend_wall_seconds.items():
-            self._backend_wall[name] = self._backend_wall.get(name, 0.0) + wall
+        self._count_backends(report)
 
         # Outcomes: each job has at most one non-failed run (its last
         # attempt); every run of the converged round becomes an
@@ -1320,7 +1507,7 @@ class NdftFramework:
             backend_timings=report.backend_timings,
             failures=report.failures,
         )
-        results = []
+        kept_rows = []
         kept_solo = []
         for job_index in kept:
             position = completed[job_index]
@@ -1330,9 +1517,10 @@ class NdftFramework:
             ]
             resumed = pipeline is not jobs[job_index][1]
             if degraded or resumed:
-                excl_key = tuple(sorted(p.value for p in excl))
                 solo_key = (
-                    None if signature is None else (signature, excl_key)
+                    None
+                    if signature is None
+                    else (signature, _exclusion_key(excl))
                 )
                 solo = self._solo_report(
                     pipeline, schedule, signature, cache_key=solo_key
@@ -1340,11 +1528,7 @@ class NdftFramework:
             else:
                 solo = solo_times[job_index]
             kept_solo.append(solo)
-            results.append(
-                self._run_result(
-                    problem, pipeline, schedule, report.job_reports[position]
-                )
-            )
+            kept_rows.append((problem, pipeline, schedule, signature))
         if admission_result is not None and abandoned:
             # Abandoned jobs shift the surviving jobs' positions; the
             # admitted-only percentile indices must follow them.
@@ -1358,7 +1542,7 @@ class NdftFramework:
                 ),
             )
         return NdftBatchResult(
-            jobs=tuple(results),
+            jobs=self._assemble(_JobGroups.from_rows(kept_rows), kept_reports),
             batch_report=batch_report,
             solo_times=tuple(kept_solo),
             admission=admission_result,
@@ -1368,32 +1552,30 @@ class NdftFramework:
     def _admit(
         self,
         admission: AdmissionPolicy,
-        jobs: list,
-        arrivals: Sequence[float] | None,
+        groups: _JobGroups,
+        arrivals: list[float] | None,
         solo_times: tuple[float, ...],
-    ) -> tuple[list, list[float], tuple[float, ...], AdmissionResult]:
+    ) -> tuple[list[int], list[float], AdmissionResult]:
         """Run the admission controller over a resolved batch and
-        return the executed subset: jobs, (possibly deferred) releases,
-        solo times, and the full decision record."""
+        return the executed job indices, their (possibly deferred)
+        releases, and the full decision record."""
         if arrivals is None:
             raise ConfigError(
                 "admission control acts on an open queue: pass arrivals= "
                 "(e.g. poisson_arrivals) alongside admission="
             )
-        arrivals = [float(offset) for offset in arrivals]
-        if len(arrivals) != len(jobs):
+        if len(arrivals) != len(solo_times):
             raise ConfigError(
-                f"{len(jobs)} jobs but {len(arrivals)} arrival offsets"
+                f"{len(solo_times)} jobs but {len(arrivals)} arrival offsets"
             )
         decisions = plan_admission(
             admission,
             arrivals,
             solo_times,
-            [
-                PipelineExecutor.schedule_lanes(schedule)
-                for _p, _pipe, schedule, _s in jobs
-            ],
-            [problem.label for problem, _pipe, _s, _sig in jobs],
+            groups.per_job(
+                [PipelineExecutor.schedule_lanes(s) for s in groups.schedules]
+            ),
+            groups.per_job([problem.label for problem in groups.problems]),
         )
         executed = [
             i
@@ -1411,29 +1593,28 @@ class NdftFramework:
             counted_indices=counted,
         )
         return (
-            [jobs[i] for i in executed],
+            executed,
             [decisions[i].release for i in executed],
-            tuple(solo_times[i] for i in executed),
             admission_result,
         )
 
     # ------------------------------------------------------------------
     # Internals
     # ------------------------------------------------------------------
-    def _resolve_job(
+    def _memo(
         self,
-        n_atoms: int | None,
-        problem: ProblemSize | None,
-        pipeline: Pipeline | None,
-    ) -> tuple[ProblemSize, Pipeline]:
-        if problem is None:
-            if pipeline is not None:
-                problem = pipeline.problem
-            elif n_atoms is not None:
-                problem = problem_size(n_atoms)
-            else:
-                raise ConfigError("pass n_atoms, problem or pipeline")
-        return problem, pipeline or self._build_pipeline(problem, build_pipeline)
+        cache: LruCache,
+        keys: list | None,
+        weights: list[int],
+        derive: Callable[[int], object],
+    ) -> list:
+        """``derive(i)`` for every position, through ``cache`` under
+        ``keys[i]`` (probe every key, then fill the misses — see
+        :meth:`LruCache.lookup_many`), or uncached when ``keys`` is
+        ``None``."""
+        if keys is None:
+            return [derive(i) for i in range(len(weights))]
+        return cache.lookup_many(keys, weights, derive)
 
     def _build_pipeline(
         self,
@@ -1443,14 +1624,10 @@ class NdftFramework:
         """Build (or reuse) the pipeline for one problem/builder pair.
         Sharing the built object also shares its cached structural hash,
         so duplicate batch entries hash once."""
-        if not self.memoize:
-            return builder(problem)
-        key = (problem, builder)
-        pipeline = self._pipeline_cache.get(key)
-        if pipeline is None:
-            pipeline = builder(problem)
-            self._pipeline_cache.put(key, pipeline)
-        return pipeline
+        keys = [(problem, builder)] if self.memoize else None
+        return self._memo(
+            self._pipeline_cache, keys, [1], lambda _i: builder(problem)
+        )[0]
 
     def _schedule_for(
         self,
@@ -1467,35 +1644,55 @@ class NdftFramework:
         schedule must never shadow (or be shadowed by) the healthy one.
         """
         excl = frozenset(exclude) if exclude else frozenset()
-        if signature is None:
-            return self.scheduler.schedule(
-                pipeline, self.policy, exclude=excl or None
-            )
-        excl_key = tuple(sorted(p.value for p in excl))
-        cache_key = signature if not excl else (signature, excl_key)
-        schedule = self._schedule_cache.get(cache_key)
-        if schedule is None:
-            structure_key = None
-            if self.policy is SchedulingPolicy.COST_AWARE:
-                registry_fp, cost_fp = self.fingerprints()
-                structure_key = structure_signature(
-                    pipeline,
-                    self.policy,
-                    self.scheduler,
-                    self.cost_model,
-                    registry_fp=registry_fp,
-                    cost_fp=cost_fp,
-                )
-                if excl:
-                    structure_key = (structure_key, excl_key)
-            schedule = self.scheduler.schedule(
+        keys = None
+        if signature is not None:
+            keys = [signature if not excl else (signature, _exclusion_key(excl))]
+        return self._schedules([pipeline], keys, [1], excl)[0]
+
+    def _schedules(
+        self,
+        pipelines: list[Pipeline],
+        keys: list | None,
+        weights: list[int],
+        excl: frozenset[Placement],
+    ) -> list[Schedule]:
+        """One schedule per pipeline, through the schedule cache under
+        ``keys`` (uncached when ``None``).  Cached misses warm-start the
+        placement DP from the nearest same-structure size."""
+        return self._memo(
+            self._schedule_cache,
+            keys,
+            weights,
+            lambda i: self._derive_schedule(
+                pipelines[i], excl, warm=keys is not None
+            ),
+        )
+
+    def _derive_schedule(
+        self, pipeline: Pipeline, excl: frozenset[Placement], warm: bool
+    ) -> Schedule:
+        """Run the placement DP for one pipeline; with ``warm``, seed it
+        from (and index the result into) the warm-start index."""
+        structure_key = None
+        if warm and self.policy is SchedulingPolicy.COST_AWARE:
+            registry_fp, cost_fp = self.fingerprints()
+            structure_key = structure_signature(
                 pipeline,
                 self.policy,
-                warm_start=self._warm_start_hint(pipeline, structure_key),
-                exclude=excl or None,
+                self.scheduler,
+                self.cost_model,
+                registry_fp=registry_fp,
+                cost_fp=cost_fp,
             )
-            self._schedule_cache.put(cache_key, schedule)
-            self._remember_placement(pipeline, schedule, structure_key)
+            if excl:
+                structure_key = (structure_key, _exclusion_key(excl))
+        schedule = self.scheduler.schedule(
+            pipeline,
+            self.policy,
+            warm_start=self._warm_start_hint(pipeline, structure_key),
+            exclude=excl or None,
+        )
+        self._remember_placement(pipeline, schedule, structure_key)
         return schedule
 
     def _warm_start_hint(
@@ -1563,55 +1760,70 @@ class NdftFramework:
         — the degraded-placement path keys solo reports by
         ``(signature, exclusion)`` so they never collide with the
         healthy schedule's numbers."""
-        if signature is None:
-            return self.executor.execute(pipeline, schedule)
-        key = signature if cache_key is None else cache_key
-        report = self._solo_report_cache.get(key)
-        if report is None:
-            report = self.executor.execute(pipeline, schedule)
-            self._solo_report_cache.put(key, report)
-        return report
+        keys = None
+        if signature is not None:
+            keys = [signature if cache_key is None else cache_key]
+        return self._memo(
+            self._solo_report_cache,
+            keys,
+            [1],
+            lambda _i: self.executor.execute(pipeline, schedule),
+        )[0]
 
-    def _sca_reports(self, pipeline: Pipeline) -> dict[str, ScaReport]:
-        """SCA verdicts for every stage function.  Keyed by structural
-        hash alone: the analyzer sees only the pipeline and the rooflines
-        fixed at construction, never the target registry."""
-        if not self.memoize:
-            return self.sca.analyze_all(
-                [stage.function for stage in pipeline.stages]
-            )
-        key = pipeline.structural_hash
-        reports = self._sca_cache.get(key)
-        if reports is None:
-            reports = self.sca.analyze_all(
-                [stage.function for stage in pipeline.stages]
-            )
-            self._sca_cache.put(key, reports)
-        return reports
-
-    def _run_result(
-        self,
-        problem: ProblemSize,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        report: ExecutionReport,
-    ) -> NdftRunResult:
-        sca_reports = self._sca_reports(pipeline)
-        footprints = None
-        if self.memoize:
-            footprints = self._footprint_cache.get(problem.n_atoms)
-        if footprints is None:
-            footprints = (
-                footprint_ndft(problem.n_atoms, NDP_RANKS, NDP_STACKS),
-                footprint_replicated(problem.n_atoms, NDP_RANKS),
-            )
-            if self.memoize:
-                self._footprint_cache.put(problem.n_atoms, footprints)
-        return NdftRunResult(
-            problem=problem,
-            schedule=schedule,
-            report=report,
-            sca_reports=sca_reports,
-            memory_footprint_gb=footprints[0],
-            replicated_footprint_gb=footprints[1],
+    def _group_solo_reports(self, groups: _JobGroups) -> list[ExecutionReport]:
+        """One standalone DES report per group of a resolved batch."""
+        pipelines, schedules = groups.pipelines, groups.schedules
+        return self._memo(
+            self._solo_report_cache,
+            groups.signatures if self.memoize else None,
+            groups.weights,
+            lambda g: self.executor.execute(pipelines[g], schedules[g]),
         )
+
+    def _assemble(
+        self, groups: _JobGroups, reports: Sequence[ExecutionReport]
+    ) -> tuple[NdftRunResult, ...]:
+        """One :class:`NdftRunResult` per job, ``reports[j]`` being job
+        ``j``'s.  SCA verdicts and memory footprints are derived once
+        per group: SCA keyed by structural hash alone (the analyzer sees
+        only the pipeline and the rooflines fixed at construction, never
+        the target registry), footprints by atom count (pure functions
+        of the size and the fixed NDP geometry)."""
+        pipelines, problems = groups.pipelines, groups.problems
+        memo = self.memoize
+        sca_reports = self._memo(
+            self._sca_cache,
+            [p.structural_hash for p in pipelines] if memo else None,
+            groups.weights,
+            lambda g: self.sca.analyze_all(
+                [stage.function for stage in pipelines[g].stages]
+            ),
+        )
+        footprints = self._memo(
+            self._footprint_cache,
+            [p.n_atoms for p in problems] if memo else None,
+            groups.weights,
+            lambda g: (
+                footprint_ndft(problems[g].n_atoms, NDP_RANKS, NDP_STACKS),
+                footprint_replicated(problems[g].n_atoms, NDP_RANKS),
+            ),
+        )
+        rows = groups.per_job(
+            [
+                (problem, schedule, sca, ndft_gb, replicated_gb)
+                for problem, schedule, sca, (ndft_gb, replicated_gb) in zip(
+                    problems, groups.schedules, sca_reports, footprints
+                )
+            ]
+        )
+        return tuple(
+            NdftRunResult(problem, schedule, report, sca, ndft_gb, replicated_gb)
+            for (problem, schedule, sca, ndft_gb, replicated_gb), report in zip(
+                rows, reports
+            )
+        )
+
+
+def _exclusion_key(excl: frozenset[Placement]) -> tuple[str, ...]:
+    """The cache-key form of a set of excluded (dead) targets."""
+    return tuple(sorted(p.value for p in excl))

@@ -11,7 +11,7 @@ so results never change (the framework's tests assert exactly that).
 
 from __future__ import annotations
 
-from typing import Any, Hashable
+from typing import Any, Callable, Hashable, Sequence
 
 
 class LruCache:
@@ -55,6 +55,53 @@ class LruCache:
             victim = next(iter(self._data))
             del self._data[victim]
             self.evictions += 1
+
+    def lookup_many(
+        self,
+        keys: Sequence[Hashable],
+        weights: Sequence[int],
+        derive: Callable[[int], Any],
+    ) -> list[Any]:
+        """Get-or-derive for a batch: one value per key, in key order.
+
+        ``keys[i]`` stands for ``weights[i]`` jobs.  Every distinct key
+        is probed before any miss is derived, so hits refresh recency
+        before the fills evict: a batch with more distinct keys than
+        ``maxsize`` evicts only the overflow, instead of turning the
+        cache into a cyclic scan that misses every key.  Misses are then
+        derived with ``derive(i)`` (``i`` = the key's first position)
+        and inserted in first-occurrence order.
+
+        Counters keep their per-job meaning: the first job of an absent
+        key is one miss, every other job of every key is a hit — what
+        one :meth:`get` per job would count on a batch that fits."""
+        data = self._data
+        values: list[Any] = [None] * len(keys)
+        first: dict[Hashable, int] = {}
+        missing: list[int] = []
+        hits = 0
+        for i, key in enumerate(keys):
+            if key in first:
+                hits += weights[i]
+                continue
+            first[key] = i
+            try:
+                value = data.pop(key)
+            except KeyError:
+                missing.append(i)
+                hits += weights[i] - 1
+                continue
+            data[key] = value  # re-insert at the MRU end
+            values[i] = value
+            hits += weights[i]
+        self.hits += hits
+        self.misses += len(missing)
+        for i in missing:
+            values[i] = derive(i)
+            self.put(keys[i], values[i])
+        if len(first) < len(keys):
+            values = [values[first[key]] for key in keys]
+        return values
 
     def peek(self, key: Hashable, default: Any = None) -> Any:
         """Uncounted lookup that does not touch recency or counters."""

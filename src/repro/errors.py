@@ -6,6 +6,9 @@ distinguish library failures from programming errors.
 
 from __future__ import annotations
 
+import math
+from typing import Iterable
+
 
 class ReproError(Exception):
     """Base class for all errors raised by the ``repro`` package."""
@@ -52,3 +55,33 @@ class AnalysisError(ReproError):
 class PhysicsError(ReproError):
     """A DFT/LR-TDDFT computation produced an invalid result (e.g. a
     non-Hermitian response matrix or negative excitation energy)."""
+
+
+def finite_float(value, what: str, error: type[ReproError] = ConfigError) -> float:
+    """``value`` as a float; raises ``error`` naming ``what`` unless it
+    is a finite real number (NaN and infinities slip through ordinary
+    ``<``/``>`` range checks, and would otherwise surface as a NaN
+    result far from the input that caused it)."""
+    try:
+        number = float(value)
+    except (TypeError, ValueError):
+        raise error(f"{what} must be a finite number, got {value!r}") from None
+    if not math.isfinite(number):
+        raise error(f"{what} must be a finite number, got {value!r}")
+    return number
+
+
+def finite_floats(
+    values: Iterable, what: str, error: type[ReproError] = ConfigError
+) -> list[float]:
+    """``values`` as a list of floats; raises ``error`` naming the index
+    of the first entry :func:`finite_float` rejects."""
+    values = list(values)
+    try:
+        floats = list(map(float, values))
+    except (TypeError, ValueError):
+        floats = None
+    if floats is None or not all(map(math.isfinite, floats)):
+        for index, value in enumerate(values):
+            finite_float(value, f"{what} {index}", error)
+    return floats

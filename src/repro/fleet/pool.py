@@ -41,7 +41,7 @@ from typing import Sequence
 
 from repro.core.framework import NdftFramework
 from repro.core.scheduler import SchedulingPolicy
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_floats
 from repro.fleet.result import FleetResult, ReplicaSummary
 from repro.fleet.router import RoutingPlan, route_jobs
 from repro.hw.config import SystemConfig
@@ -205,7 +205,7 @@ class WorkerPool:
         if not sizes:
             raise ConfigError("serve needs at least one job")
         if arrivals is not None:
-            arrivals = tuple(float(offset) for offset in arrivals)
+            arrivals = tuple(finite_floats(arrivals, "arrival offset"))
             if len(arrivals) != len(sizes):
                 raise ConfigError(
                     f"{len(sizes)} jobs but {len(arrivals)} arrival offsets"
