@@ -58,11 +58,11 @@ class RuleConfig:
     )
 
     #: Sanctioned wall-clock sites: (module, dotted call).  These
-    #: measure *host* wall time (backend auto-tuning, serving
-    #: benchmarks) and never feed simulated timestamps.
+    #: measure *host* wall time (per-shard and fleet accounting,
+    #: serving benchmarks) and never feed simulated timestamps.
     determinism_allowlist: frozenset[tuple[str, str]] = frozenset(
         {
-            # BackendTuner shard measurement (ROADMAP: measured routing).
+            # Per-shard ShardTiming wall accounting (backend_timings).
             ("repro.core.executor", "time.perf_counter"),
             # WorkerPool wall/sim speedup accounting.
             ("repro.fleet.pool", "time.perf_counter"),

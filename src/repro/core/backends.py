@@ -13,19 +13,11 @@ scattered through the executor:
   the shard makespan and the super-job count, or ``None`` to decline a
   shard it only discovers to be ineligible while flattening it (e.g. a
   zero-duration task under a degenerate cost model).
-- Four backends ship registered, in fallback-preference order:
+- Four backends ship registered, in static capability order:
 
   =================  ==================================================
   name               simulates
   =================  ==================================================
-  ``chain_replay``   all-single-chain shards via
-                     :func:`repro.hw.engine.replay_chain_batch` — one
-                     cursor per job, the leanest event loop.
-  ``dag_replay``     any DAG shard via
-                     :func:`repro.hw.engine.replay_dag_batch` — per-
-                     replica join counters on fan-in stages, so k-point
-                     and other branching pipelines still get the
-                     one-event-per-occupancy replay.
   ``vector_replay``  single-signature (fully coalesced) shards via
                      :func:`repro.hw.vector_replay.replay_vector_batch`
                      — the whole grant/finish timetable as numpy
@@ -34,24 +26,34 @@ scattered through the executor:
                      Declines cross-signature shards, zero durations
                      and tie patterns that need the engine's banded
                      hop cascade.
+  ``chain_replay``   all-single-chain shards via
+                     :func:`repro.hw.engine.replay_chain_batch` — one
+                     cursor per job, the leanest event loop.
+  ``dag_replay``     any DAG shard via
+                     :func:`repro.hw.engine.replay_dag_batch` — per-
+                     replica join counters on fan-in stages, so k-point
+                     and other branching pipelines still get the
+                     one-event-per-occupancy replay.
   ``engine``         anything, through the generator
                      :class:`repro.hw.engine.Engine` — the universal
                      fallback and the reference the replays are
                      verified against.
   =================  ==================================================
 
-The static walk takes the first backend that supports the shard and
-does not decline it; results are bit-identical whichever backend runs
+The walk takes the first backend that supports the shard and does
+not decline it; results are bit-identical whichever backend runs
 (property-tested in ``tests/core/test_coalesce_shard.py``,
 ``tests/core/test_dag_replay.py`` and
-``tests/core/test_vector_replay.py``) — which is also why the
-framework's measured auto-tuner
-(:class:`repro.core.executor.BackendTuner`) may freely reorder the
-walk by observed wall time: ``vector_replay`` sits *after*
-``dag_replay`` in the static order, so it is reached by measurement
-(or by forcing), never by default on an unmeasured shard.  Any trace
-observer bypasses the registry entirely — trace consumers need the
-uncollapsed engine's exact event stream.  Additional backends (e.g. a
+``tests/core/test_vector_replay.py``).  The order is fixed up front,
+like the paper's Eq. 1 placement, rather than measured at run time:
+``vector_replay``'s capability check is an O(1) "exactly one
+template" test, so multi-signature shards skip it for free and fall to
+the chain replay (all chains) or the DAG replay (any DAG).  A
+single-signature open-queue shard whose arrivals interleave with
+earlier replicas' waves is declined late ("unprovable tie") and falls
+through the same way.  Any trace observer bypasses the registry
+entirely — trace consumers need the uncollapsed engine's exact event
+stream.  Additional backends (e.g. a
 C-accelerated calendar) plug in via :func:`register_backend`.
 
 Backends may also expose ``unsupported_reason(executor, shard_jobs)``
@@ -472,9 +474,9 @@ def register_backend(backend: SimulationBackend) -> None:
         _REGISTRY[backend.name] = backend
 
 
+register_backend(VectorReplayBackend())
 register_backend(ChainReplayBackend())
 register_backend(DagReplayBackend())
-register_backend(VectorReplayBackend())
 register_backend(EngineBackend())
 
 

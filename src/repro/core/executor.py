@@ -31,7 +31,6 @@ timing model.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 from time import perf_counter
 from typing import Callable, Sequence
@@ -124,11 +123,11 @@ class ShardTiming:
     ``backend`` is the registry name of the backend that actually timed
     the shard; ``wall_seconds`` is host (not virtual) time spent
     simulating it, measured around the whole backend walk including any
-    declined attempts.  The remaining fields are the shard features the
-    measured auto-tuner (:class:`BackendTuner`) buckets on and humans
-    debug with: job count, signature-coalesced super-job count (0 on
-    the uncollapsed engine path), total stage count across the shard's
-    distinct templates, and whether every job is a single chain.
+    declined attempts.  The remaining fields are the shard features
+    humans debug with: job count, signature-coalesced super-job count
+    (0 on the uncollapsed engine path), total stage count across the
+    shard's distinct templates, and whether every job is a single
+    chain.
     """
 
     backend: str
@@ -174,8 +173,7 @@ class BatchExecutionReport:
         default_factory=dict
     )
     #: Per-shard wall time and shard features, in shard order — the raw
-    #: observability the measured auto-tuner and ``serve-bench``'s
-    #: per-backend breakdown read.
+    #: observability ``serve-bench``'s per-backend breakdown reads.
     backend_timings: tuple[ShardTiming, ...] = ()
     #: Runs killed by fault-plan events (:class:`repro.core.faults.
     #: RunFailure`), in deterministic fault-event order; always empty
@@ -259,182 +257,6 @@ class BatchExecutionReport:
                 totals.get(timing.backend, 0.0) + timing.wall_seconds
             )
         return totals
-
-    @property
-    def no_overlap_time(self) -> float:
-        """The fully-serialized bound: every stage of every job back to
-        back.  For branching jobs this exceeds what solo DES runs achieve
-        (they already overlap branches) — use
-        :attr:`repro.core.framework.NdftBatchResult.serial_time` for the
-        achievable one-job-at-a-time baseline."""
-        return sum(report.serial_time for report in self.job_reports)
-
-
-class BackendTuner:
-    """Measured backend selection: a per-shard-size winner table.
-
-    Static preference order is a correctness fallback chain, not a
-    performance policy — it cannot know that a 16k-replica coalesced
-    shard belongs on ``vector_replay`` while a 2-job shard should stay
-    on the event replays.  Because every backend is bit-identical on
-    every shard it accepts, *routing is free to chase wall time*: the
-    tuner buckets shards by job-count magnitude
-    (``n_jobs.bit_length()``), accumulates observed wall seconds and
-    job counts per backend per bucket, and reorders each shard's
-    candidate walk:
-
-    - **explore** — the first non-engine candidate (static order) that
-      supports the shard but has no measurement in the bucket goes
-      first, so every eligible replay gets measured once per bucket;
-    - **exploit** — otherwise, measured candidates are tried in
-      ascending observed wall-seconds-per-job, unmeasured ones after
-      in static order.
-
-    The engine is never explored proactively (it is the guaranteed
-    fallback and the slowest path at scale), but engine runs that do
-    happen — forced, ``coalesce=False``, or decline fallbacks — are
-    recorded, so buckets where the engine genuinely wins (tiny shards,
-    where replay flattening dominates) route back to it.
-
-    The table is host-performance state, not simulation state: it
-    changes which backend runs, never what any backend returns.  The
-    framework persists it alongside the derivation caches
-    (:meth:`repro.core.framework.NdftFramework.save_caches`) so a
-    warmed service skips re-exploration.
-    """
-
-    __slots__ = ("_samples",)
-
-    def __init__(self) -> None:
-        #: bucket -> backend name -> [wall seconds total, jobs total].
-        self._samples: dict[int, dict[str, list[float]]] = {}
-
-    @staticmethod
-    def bucket(n_jobs: int) -> int:
-        """Shard-size bucket: job-count magnitude (1-2 jobs -> 1-2,
-        3-4 -> 3, ..., 32769-65536 -> 17)."""
-        return n_jobs.bit_length()
-
-    def record(
-        self, n_jobs: int, backend: str, wall_seconds: float
-    ) -> None:
-        """Fold one shard's measured wall time into its size bucket."""
-        cells = self._samples.setdefault(self.bucket(n_jobs), {})
-        cell = cells.get(backend)
-        if cell is None:
-            cells[backend] = [wall_seconds, float(n_jobs)]
-        else:
-            cell[0] += wall_seconds
-            cell[1] += n_jobs
-
-    def order(
-        self,
-        executor: "PipelineExecutor",
-        shard_jobs: list,
-        candidates: tuple,
-    ) -> tuple:
-        """Reorder one shard's backend walk (see class docs).  The walk
-        still checks ``supports``/declines downstream, so reordering
-        can never change *whether* a shard simulates — only which
-        bit-identical backend does the work."""
-        cells = self._samples.get(self.bucket(len(shard_jobs)), {})
-        for candidate in candidates:
-            if candidate.name == _ENGINE_BACKEND:
-                continue
-            if candidate.name in cells:
-                continue
-            if candidate.supports(executor, shard_jobs):
-                return (candidate,) + tuple(
-                    c for c in candidates if c is not candidate
-                )
-        measured = sorted(
-            (c for c in candidates if c.name in cells),
-            key=lambda c: cells[c.name][0] / cells[c.name][1],
-        )
-        unmeasured = [c for c in candidates if c.name not in cells]
-        return tuple(measured) + tuple(unmeasured)
-
-    def snapshot(self) -> list[tuple[int, str, float, float]]:
-        """The table as plain rows ``(bucket, backend, wall, jobs)`` —
-        what the framework's cache snapshot stores."""
-        return [
-            (bucket, name, cell[0], cell[1])
-            for bucket, cells in sorted(self._samples.items())
-            for name, cell in sorted(cells.items())
-        ]
-
-    def merge(self, rows) -> int:
-        """Fold snapshot rows into the table (adding to any live
-        measurements); returns the number of rows folded.  Rows naming
-        backends no longer registered are skipped — the fingerprint
-        scheme guards model drift, the registry guards its own.
-        Malformed rows are skipped too: a NaN, negative, or non-finite
-        wall-seconds entry (or a non-positive job count) from a corrupt
-        snapshot would otherwise poison the winner table forever, since
-        ``wall_per_job`` averages persist across sessions."""
-        count = 0
-        registered = set(_backends.backend_names())
-        for row in rows:
-            try:
-                bucket, name, wall, jobs = row
-                bucket = int(bucket)
-                wall = float(wall)
-                jobs = float(jobs)
-            except (TypeError, ValueError):
-                continue
-            if name not in registered:
-                continue
-            if not (math.isfinite(wall) and wall >= 0.0):
-                continue
-            if not (math.isfinite(jobs) and jobs > 0.0):
-                continue
-            cells = self._samples.setdefault(bucket, {})
-            cell = cells.get(name)
-            if cell is None:
-                cells[name] = [wall, jobs]
-            else:
-                cell[0] += wall
-                cell[1] += jobs
-            count += 1
-        return count
-
-    def union(self, rows) -> int:
-        """Fold snapshot rows into the table *only where the cell is
-        absent*; returns the number of rows adopted.  This is the
-        fleet merge-back primitive: a worker's snapshot contains the
-        parent's own measurements plus whatever the worker observed, so
-        :meth:`merge`'s additive fold would double-count the shared
-        wall seconds on every round trip.  Union-if-absent is
-        idempotent — re-merging the same snapshot adopts nothing — at
-        the cost of ignoring refinements to cells the parent already
-        measured (acceptable: any measurement routes correctly, and
-        the parent's own cells keep accumulating live).  Row vetting
-        matches :meth:`merge` exactly."""
-        count = 0
-        registered = set(_backends.backend_names())
-        for row in rows:
-            try:
-                bucket, name, wall, jobs = row
-                bucket = int(bucket)
-                wall = float(wall)
-                jobs = float(jobs)
-            except (TypeError, ValueError):
-                continue
-            if name not in registered:
-                continue
-            if not (math.isfinite(wall) and wall >= 0.0):
-                continue
-            if not (math.isfinite(jobs) and jobs > 0.0):
-                continue
-            cells = self._samples.setdefault(bucket, {})
-            if name in cells:
-                continue
-            cells[name] = [wall, jobs]
-            count += 1
-        return count
-
-    def clear(self) -> None:
-        self._samples.clear()
 
 
 class _RunFaultState:
@@ -557,7 +379,6 @@ class PipelineExecutor:
         coalesce: bool = True,
         shard: bool = True,
         backend: str | None = None,
-        tuner: BackendTuner | None = None,
         faults: "FaultPlan | None" = None,
     ) -> BatchExecutionReport:
         """Execute every (pipeline, schedule) job concurrently on one
@@ -584,9 +405,11 @@ class PipelineExecutor:
           objects (what the framework's signature caches hand out for
           duplicate jobs) into weighted super-jobs and hands each shard
           to the first registered simulation backend
-          (:mod:`repro.core.backends`) that supports it: the slim chain
-          FIFO replay, the DAG replay (join counters on fan-in stages),
-          or the generator engine as the universal fallback.
+          (:mod:`repro.core.backends`) that supports it and does not
+          decline it: the numpy wave replay (single-signature shards),
+          the slim chain FIFO replay, the DAG replay (join counters on
+          fan-in stages), or the generator engine as the universal
+          fallback.
 
         ``backend`` names one registered backend to force for every
         shard (the serving benchmark's A/B switch); a forced backend
@@ -597,14 +420,10 @@ class PipelineExecutor:
         non-engine backend (which coalesces by construction) is a
         contradiction and raises too.
 
-        ``tuner`` switches the per-shard backend walk from static
-        preference order to the :class:`BackendTuner`'s measured
-        ordering, and feeds each shard's wall time back into its
-        table.  Results are bit-identical either way (every backend
-        reproduces the engine's floats on every shard it accepts) —
-        only wall time moves.  Per-shard wall time and shard features
-        land in :attr:`BatchExecutionReport.backend_timings` whether or
-        not a tuner is supplied.
+        Results are bit-identical whichever backend runs (every
+        backend reproduces the engine's floats on every shard it
+        accepts).  Per-shard wall time and shard features land in
+        :attr:`BatchExecutionReport.backend_timings`.
 
         Passing any ``observer`` forces the uncollapsed, unsharded DES:
         trace consumers see the exact event stream of one shared engine.
@@ -616,8 +435,7 @@ class PipelineExecutor:
         an outage or permanent failure land in
         :attr:`BatchExecutionReport.failures`, and unaffected shards take
         the exact unmodified code path — an *empty* plan is bit-identical
-        to no plan for every backend.  Fault-shard wall times are never
-        fed to the tuner (the faulted workload is not the healthy one).
+        to no plan for every backend.
         """
         if not jobs:
             raise SimulationError("execute_many needs at least one job")
@@ -663,8 +481,7 @@ class PipelineExecutor:
                 fault_plan=faults,
                 failures=observer_failures,
             )
-            # Observed wall time includes the caller's observer work,
-            # so it is reported but never fed to a tuner.
+            # Observed wall time includes the caller's observer work.
             timing = ShardTiming(
                 backend=_ENGINE_BACKEND,
                 wall_seconds=perf_counter() - wall_start,
@@ -726,16 +543,12 @@ class PipelineExecutor:
                         coalesce,
                         forced,
                         lane_log,
-                        tuner,
                     )
                 )
-            wall_seconds = perf_counter() - wall_start
-            if tuner is not None and not faulted:
-                tuner.record(len(indices), chosen, wall_seconds)
             timings.append(
                 ShardTiming(
                     backend=chosen,
-                    wall_seconds=wall_seconds,
+                    wall_seconds=perf_counter() - wall_start,
                     n_jobs=len(indices),
                     n_superjobs=shard_groups,
                     n_stages=self._shard_stage_count(shard_jobs),
@@ -903,17 +716,14 @@ class PipelineExecutor:
         coalesce: bool,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
-        tuner: BackendTuner | None = None,
     ) -> tuple[str, list[ExecutionReport], float, int]:
         """Time one contention shard through the backend layer.
 
-        The default walk tries every registered backend in preference
-        order (chain replay, DAG replay, vector replay, engine) and
-        takes the first that supports the shard and does not decline
-        it; the engine backend supports everything, so the walk always
-        terminates.  ``tuner`` reorders that walk by measured wall time
-        (see :class:`BackendTuner`) — legal because every backend is
-        bit-identical on every shard it accepts.  ``coalesce=False``
+        The default walk tries every registered backend in its static
+        capability order (vector replay, chain replay, DAG replay,
+        engine) and takes the first that supports the shard and does
+        not decline it; the engine backend supports everything, so the
+        walk always terminates.  ``coalesce=False``
         pins the engine (the uncollapsed reference semantics);
         ``forced`` pins one named backend and raises — naming the
         backend's reason — when it cannot simulate the shard.
@@ -927,8 +737,6 @@ class PipelineExecutor:
             candidates: tuple = (forced,)
         elif coalesce:
             candidates = _backends.iter_backends()
-            if tuner is not None:
-                candidates = tuner.order(self, shard_jobs, candidates)
         else:
             candidates = (_backends.get_backend(_ENGINE_BACKEND),)
         for candidate in candidates:

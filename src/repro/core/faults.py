@@ -52,7 +52,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError
+from repro.errors import ConfigError, finite_float
 from repro.hw.engine import resolve_degraded_service
 from repro.stats import percentile
 
@@ -510,6 +510,12 @@ class RetryPolicy:
             raise ConfigError(
                 f"max_attempts must be an integer >= 1, got {self.max_attempts!r}"
             )
+        # A NaN or infinite field slips past the range checks below and
+        # turns every backoff(k) into nan/inf.
+        for name in ("backoff_base", "backoff_factor", "backoff_max", "job_timeout"):
+            value = getattr(self, name)
+            if value is not None:
+                object.__setattr__(self, name, finite_float(value, name))
         if not self.backoff_base > 0.0:
             raise ConfigError(
                 f"backoff_base must be > 0 (retries must release strictly after "

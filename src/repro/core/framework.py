@@ -74,7 +74,6 @@ from repro.core.arrivals import (
 from repro.core.backends import backend_names
 from repro.core.cost_model import OffloadCostModel, serial_links
 from repro.core.executor import (
-    BackendTuner,
     BatchExecutionReport,
     ExecutionReport,
     JobTable,
@@ -166,10 +165,6 @@ class AdmissionResult:
     policy: AdmissionPolicy
     decisions: tuple[AdmissionDecision, ...]
     counted_indices: tuple[int, ...]
-
-    @property
-    def n_submitted(self) -> int:
-        return len(self.decisions)
 
     @property
     def admitted(self) -> int:
@@ -548,10 +543,6 @@ class NdftFramework:
         #: Host wall seconds spent simulating per backend name across
         #: every ``run_many`` call (see :attr:`backend_stats`).
         self._backend_wall: dict[str, float] = {}
-        #: Measured backend-selection table (persisted by the cache
-        #: snapshots): routes each contention shard to the backend with
-        #: the best observed wall-seconds-per-job in its size bucket.
-        self._backend_tuner = BackendTuner()
         self.host = CpuModel(self.system.host)
         self.ndp = NdpSystemModel(self.system.ndp)
         self.gpu = GpuModel(gpu_baseline_config()) if enable_gpu else None
@@ -674,9 +665,6 @@ class NdftFramework:
         self._footprint_cache.clear()
         self._fingerprints = None
         self._fault_lanes = None
-        # Backend wall-time measurements were taken against the old
-        # registry's shard shapes; re-explore rather than trust them.
-        self._backend_tuner.clear()
 
     def fingerprints(self) -> tuple[tuple, tuple]:
         """The ``(registry, cost model)`` fingerprint pair every minted
@@ -763,10 +751,6 @@ class NdftFramework:
                 name: cache.items()
                 for name, cache in self._snapshot_caches().items()
             },
-            # Optional since its introduction: absent in older
-            # snapshots (skipped on load), ignored by older loaders —
-            # either direction stays compatible without a format bump.
-            "backend_tuner": self._backend_tuner.snapshot(),
         }
         path = Path(path)
         with path.open("wb") as handle:
@@ -787,7 +771,9 @@ class NdftFramework:
         overwritten with provably identical values, while warm-start
         index entries — whose per-structure size maps are workload-
         history-dependent — are *merged*, snapshot sizes under already-
-        known ones, so locally learned hints survive the load.
+        known ones, so locally learned hints survive the load.  Payload
+        keys outside the cache table (such as the backend-tuner rows
+        older versions wrote) are ignored, so their snapshots still load.
 
         Trust caveat: the snapshot is a pickle, deserialized *before*
         the format/fingerprint checks can reject it — loading executes
@@ -822,12 +808,6 @@ class NdftFramework:
                     continue
                 cache.put(key, value)
                 loaded += 1
-        # Measured backend-selection rows ride the same soundness gate:
-        # wall-per-job measurements only transfer between equal
-        # fingerprints (same machine parameters => same shard shapes).
-        loaded += self._backend_tuner.merge(
-            payload.get("backend_tuner", ())
-        )
         return loaded
 
     def _read_snapshot(self, path: Path | str, action: str) -> dict:
@@ -873,15 +853,11 @@ class NdftFramework:
         worker replica learned back into the shared snapshot — and it
         must be *idempotent*: a worker's snapshot contains everything
         the parent shipped plus whatever the worker derived, so the
-        parent skips keys it already holds, adds only the novel
-        schedules/solo/SCA/footprint entries and warm-start sizes, and
-        unions only backend-tuner cells it has no measurement for
-        (:meth:`~repro.core.executor.BackendTuner.union` — the additive
-        :meth:`~repro.core.executor.BackendTuner.merge` would
-        double-count wall seconds on a second pass).  Merging the same
-        snapshot twice therefore reports 0 new entries the second time
-        (up to LRU capacity pressure).  The same refusal rules as
-        loading apply: format, fingerprint, pristine registry."""
+        parent skips keys it already holds and adds only the novel
+        schedules/solo/SCA/footprint entries and warm-start sizes.
+        Merging the same snapshot twice therefore reports 0 new entries
+        the second time (up to LRU capacity pressure).  The same refusal
+        rules as loading apply: format, fingerprint, pristine registry."""
         payload = self._read_snapshot(path, "merge")
         merged = 0
         for name, cache in self._snapshot_caches().items():
@@ -906,7 +882,6 @@ class NdftFramework:
                     continue
                 cache.put(key, value)
                 merged += 1
-        merged += self._backend_tuner.union(payload.get("backend_tuner", ()))
         return merged
 
     def job_signature(self, pipeline: Pipeline) -> JobSignature:
@@ -1033,13 +1008,10 @@ class NdftFramework:
         ``coalesce``/``shard`` control the executor's scale-out fast
         path (signature-coalesced super-jobs, contention-sharded
         engines); ``backend`` forces one named simulation backend for
-        every shard (:mod:`repro.core.backends`; by default the
-        framework's measured :class:`~repro.core.executor.BackendTuner`
-        routes each shard to the backend with the best observed wall
-        time for its size bucket, exploring unmeasured ones first).
-        Results are bit-identical whichever backend simulates — every
-        run, forced or routed, also feeds its wall time back into the
-        tuner table.
+        every shard (:mod:`repro.core.backends`; by default each shard
+        takes the first backend in the registry's static capability
+        order that accepts it).  Results are bit-identical whichever
+        backend simulates.
 
         ``admission`` applies an SLO-driven
         :class:`~repro.core.arrivals.AdmissionPolicy` to the open queue
@@ -1137,7 +1109,6 @@ class NdftFramework:
             coalesce=coalesce,
             shard=shard,
             backend=backend,
-            tuner=self._backend_tuner,
         )
         self._count_backends(batch_report)
         return NdftBatchResult(
@@ -1391,7 +1362,6 @@ class NdftFramework:
                 coalesce=coalesce,
                 shard=shard,
                 backend=backend,
-                tuner=self._backend_tuner,
                 faults=faults,
             )
             failed_runs = {failure.job: failure for failure in report.failures}

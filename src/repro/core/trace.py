@@ -61,33 +61,6 @@ def build_timeline(
     return events
 
 
-def build_batch_timeline(
-    jobs: list[tuple[Pipeline, Schedule]],
-    cost_model: OffloadCostModel,
-    arrivals: list[float] | None = None,
-) -> list[TraceEvent]:
-    """Execute a whole batch through the DES with tracing on.
-
-    Passing an observer forces the executor's uncollapsed, unsharded
-    engine — no super-job coalescing, no contention sharding — so the
-    captured events are the exact occupancy intervals of one shared
-    machine, with labels prefixed ``job<i>:`` by submission index.
-    ``arrivals`` releases job ``i`` at that offset (the open-queue
-    serving model); transfers and stages then include any queueing the
-    shared devices impose."""
-    events: list[TraceEvent] = []
-    executor = PipelineExecutor(cost_model=cost_model)
-    executor.execute_many(
-        jobs,
-        observer=lambda lane, label, start, end: events.append(
-            TraceEvent(lane, label, start, end)
-        ),
-        arrivals=arrivals,
-    )
-    events.sort(key=lambda e: (e.start, e.end, e.lane, e.label))
-    return events
-
-
 def validate_timeline(events: list[TraceEvent]) -> None:
     """Raise :class:`SimulationError` if any lane double-books."""
     by_lane: dict[str, list[TraceEvent]] = {}

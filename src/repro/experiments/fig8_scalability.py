@@ -36,9 +36,6 @@ class ScalabilityStudy:
     def peak_system(self) -> int:
         return max(self.ndft_speedup, key=self.ndft_speedup.__getitem__)
 
-    def ndft_series(self) -> list[tuple[int, float]]:
-        return [(n, self.ndft_speedup[n]) for n in self.atom_counts]
-
     def is_monotone_from(self, start: int = 32) -> bool:
         """NDFT advantage grows with size beyond ``start`` atoms, allowing
         a few percent of saturation wobble at the top end (the paper's

@@ -24,11 +24,10 @@ around.  This driver measures exactly that:
   record the p50/p99 completion latency and mean queueing delay — the
   serving-model metrics;
 - record the per-point simulation-backend breakdown (who actually timed
-  the batch — chain replay, DAG replay, wave replay or the generator
+  the batch — wave replay, chain replay, DAG replay or the generator
   engine; see :mod:`repro.core.backends`) and the per-backend wall
-  seconds (``backend_wall_seconds`` — the signal the measured backend
-  auto-tuner routes on), with ``--backend`` forcing one backend for
-  every measurement (the replay-vs-engine A/B switch);
+  seconds (``backend_wall_seconds``), with ``--backend`` forcing one
+  backend for every measurement (the replay-vs-engine A/B switch);
 - optionally sweep offered load (``--arrival-sweep``): the same mix at
   each rate of a grid, recording the latency-vs-load curve, per-point
   per-lane utilization (which device or wire the load saturates), the
@@ -299,8 +298,7 @@ class ServePoint:
     #: Wall seconds per simulation backend in the reference run
     #: (summed over shards; see
     #: :attr:`repro.core.executor.BatchExecutionReport.backend_wall_seconds`)
-    #: — where the simulator's own time went, the signal the measured
-    #: backend auto-tuner routes on.
+    #: — where the simulator's own time went.
     backend_wall_seconds: dict | None = None
     #: Multi-process breakdown (``serve-bench --replicas N``); ``None``
     #: for single-process sweeps.

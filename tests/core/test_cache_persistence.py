@@ -2,6 +2,8 @@
 fingerprint, refusing mismatches — the serving deployment's warm restart.
 """
 
+import pickle
+
 import pytest
 
 from repro.core.framework import NdftFramework
@@ -82,6 +84,68 @@ class TestSaveLoadRoundTrip:
         framework.load_caches(path)
         framework.run(n_atoms=64)
         assert framework.cache_stats["schedule_misses"] == 1  # pre-save only
+
+    def test_legacy_backend_tuner_rows_are_ignored(self, tmp_path):
+        """Snapshots written while a measured backend tuner existed carry
+        a ``backend_tuner`` row list under the same format 1.  Loaders
+        ignore it: such a snapshot loads and merges with the same entry
+        counts as one without it, and fresh snapshots no longer write
+        the key."""
+        saver = NdftFramework()
+        saver.run_many(SIZES)
+        path = saver.save_caches(tmp_path / "caches.pkl")
+        payload = pickle.loads(path.read_bytes())
+        assert "backend_tuner" not in payload
+        legacy = tmp_path / "legacy.pkl"
+        legacy.write_bytes(
+            pickle.dumps(
+                {
+                    **payload,
+                    "backend_tuner": [
+                        (3, "chain_replay", 0.01, 4.0),
+                        (3, "dag_replay", 0.02, 4.0),
+                    ],
+                }
+            )
+        )
+        entries = sum(len(items) for items in payload["caches"].values())
+        assert NdftFramework().load_caches(legacy) == entries
+        assert NdftFramework().load_caches(path) == entries
+        assert (
+            NdftFramework().merge_caches(legacy)
+            == NdftFramework().merge_caches(path)
+            > 0
+        )
+
+
+    @pytest.mark.parametrize(
+        "rows",
+        [
+            "not a row list",
+            None,
+            [(3, "chain_replay", float("nan"), 4.0), ("bucket",)],
+        ],
+        ids=["string", "none", "malformed-rows"],
+    )
+    def test_malformed_legacy_backend_tuner_rows_are_ignored(
+        self, tmp_path, rows
+    ):
+        """Whatever an old snapshot holds under ``backend_tuner`` is
+        never read, so even a corrupt value loads and merges like a
+        snapshot without the key."""
+        saver = NdftFramework()
+        saver.run_many(SIZES)
+        payload = pickle.loads(
+            saver.save_caches(tmp_path / "caches.pkl").read_bytes()
+        )
+        legacy = tmp_path / "legacy.pkl"
+        legacy.write_bytes(pickle.dumps({**payload, "backend_tuner": rows}))
+        entries = sum(len(items) for items in payload["caches"].values())
+        loader = NdftFramework()
+        assert loader.load_caches(legacy) == entries
+        assert loader.run_many(SIZES).makespan == saver.run_many(SIZES).makespan
+        assert loader.cache_stats["schedule_misses"] == 0
+        assert NdftFramework().merge_caches(legacy) > 0
 
 
 class TestFingerprintRefusal:

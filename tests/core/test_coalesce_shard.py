@@ -99,11 +99,13 @@ class TestCoalesceShardEquivalence:
 
     def test_dag_jobs_take_the_dag_replay_and_match(self, framework):
         jobs = _jobs(framework, [(256, build_kpoint_pipeline)] * 6)
-        fast = framework.executor.execute_many(jobs)
+        # Forced: the auto walk hands a single-signature shard to
+        # vector_replay first, and this test pins the DAG replay.
+        fast = framework.executor.execute_many(jobs, backend="dag_replay")
         slow = framework.executor.execute_many(
             jobs, coalesce=False, shard=False
         )
-        # Branching jobs no longer force the generator engine: the DAG
+        # Branching jobs do not need the generator engine: the DAG
         # replay coalesces the identical replicas into one super-job.
         assert fast.backend_jobs == {"dag_replay": 6}
         assert fast.n_superjobs == 1

@@ -231,7 +231,7 @@ class TestExactTimeTiesOnFanIn:
         cost_model = _round_cost_model()
         executor = PipelineExecutor(cost_model=cost_model)
         jobs = [_diamond_tie_job("y", cost_model)]
-        fast = executor.execute_many(jobs)
+        fast = executor.execute_many(jobs, backend="dag_replay")
         slow = executor.execute_many(jobs, coalesce=False, shard=False)
         assert fast.backend_jobs == {"dag_replay": 1}
         assert fast.job_reports == slow.job_reports
@@ -450,9 +450,12 @@ class TestBackendFallbacks:
 
 class TestBackendRegistry:
     def test_registry_order_prefers_replays(self):
-        names = backend_names()
-        assert names[-1] == "engine"
-        assert names.index("chain_replay") < names.index("dag_replay")
+        assert backend_names() == (
+            "vector_replay",
+            "chain_replay",
+            "dag_replay",
+            "engine",
+        )
 
     def test_unknown_backend_rejected(self, framework):
         jobs = _jobs(framework, [(64, build_pipeline)])
@@ -466,7 +469,7 @@ class TestBackendRegistry:
         auto = framework.executor.execute_many(jobs)
         forced = framework.executor.execute_many(jobs, backend="engine")
         assert forced.backend_jobs == {"engine": 4}
-        assert auto.backend_jobs == {"dag_replay": 4}
+        assert auto.backend_jobs == {"vector_replay": 4}
         assert auto.job_reports == forced.job_reports
         assert auto.makespan == forced.makespan
 

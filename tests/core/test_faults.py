@@ -192,6 +192,22 @@ class TestRetryPolicy:
             RetryPolicy(backoff_factor=0.5)
         with pytest.raises(ConfigError, match="job_timeout"):
             RetryPolicy(job_timeout=0.0)
+        # Non-finite floats pass a plain range check but would make
+        # every backoff(k) nan or inf.
+        for field, value in (
+            ("backoff_base", float("inf")),
+            ("backoff_base", float("nan")),
+            ("backoff_factor", float("nan")),
+            ("backoff_factor", float("inf")),
+            ("backoff_max", float("nan")),
+            ("backoff_max", float("inf")),
+            ("job_timeout", float("nan")),
+            ("job_timeout", float("inf")),
+        ):
+            with pytest.raises(ConfigError, match=f"{field} must be a finite"):
+                RetryPolicy(**{field: value})
+        with pytest.raises(ConfigError, match="backoff_factor"):
+            RetryPolicy(backoff_factor="fast")
 
 
 class TestEmptyPlanBitIdentity:
@@ -222,9 +238,8 @@ class TestEmptyPlanBitIdentity:
         arrivals = sorted(round(rng.random() * 2.0, 9) for _ in sizes)
         plain = framework.run_many(sizes, arrivals=arrivals)
         faulted = framework.run_many(sizes, arrivals=arrivals, faults=FaultPlan())
-        # Backend routing may rotate between consecutive calls (the
-        # shared tuner is still exploring) — the identity contract is on
-        # the simulated floats, which must not move at all.
+        # The identity contract is on the simulated floats, which must
+        # not move at all.
         assert _identical_batches(plain.batch_report, faulted.batch_report)
 
     def test_plan_on_untouched_lane_keeps_replay_backends(self, framework):

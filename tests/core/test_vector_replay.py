@@ -1,4 +1,4 @@
-"""The vectorized wave-replay backend and measured backend auto-tuning.
+"""The vectorized wave-replay backend and the static backend walk.
 
 ``vector_replay`` (:mod:`repro.hw.vector_replay`, registered in
 :mod:`repro.core.backends`) computes a single-signature coalesced
@@ -9,10 +9,9 @@ completion floats *and* bit-identical ``lane_occupancy`` intervals
 versus every other backend on any shard it accepts, a reasoned decline
 (never a silent approximation) on any shard it cannot prove, and a
 forced-unsupported error that names *why*.  The second half covers the
-measured :class:`repro.core.executor.BackendTuner`: per-shard wall
-timings on the batch report, explore/exploit routing, persistence via
-the framework cache snapshot, and — the key property — identical
-simulation results regardless of routing.
+per-shard wall timings on the batch report and pins which backend the
+static capability order (vector, chain, DAG, engine) picks for each
+shard class.
 """
 
 import random
@@ -20,7 +19,7 @@ import random
 import pytest
 
 from repro.core.backends import backend_names, get_backend
-from repro.core.executor import BackendTuner, PipelineExecutor, ShardTiming
+from repro.core.executor import PipelineExecutor, ShardTiming
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.dft.workload import problem_size
@@ -259,7 +258,7 @@ class TestBackendTimings:
         assert len(report.backend_timings) == report.n_shards == 1
         timing = report.backend_timings[0]
         assert isinstance(timing, ShardTiming)
-        assert timing.backend == "chain_replay"
+        assert timing.backend == "vector_replay"
         assert timing.wall_seconds > 0.0
         assert timing.n_jobs == 5
         assert timing.n_superjobs == 1
@@ -270,11 +269,11 @@ class TestBackendTimings:
         jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 4)
         report = framework.executor.execute_many(jobs)
         wall = report.backend_wall_seconds
-        assert set(wall) == {"dag_replay"}
-        assert wall["dag_replay"] == sum(
+        assert set(wall) == {"vector_replay"}
+        assert wall["vector_replay"] == sum(
             t.wall_seconds
             for t in report.backend_timings
-            if t.backend == "dag_replay"
+            if t.backend == "vector_replay"
         )
         assert report.backend_timings[0].is_chain is False
 
@@ -297,169 +296,111 @@ class TestBackendTimings:
         assert stats["engine_wall_seconds"] == 0.0
 
 
-class TestBackendTuner:
-    """Measured routing: explore-then-exploit per size bucket, forced
-    and fallback runs recorded, snapshot round-trip, and — the
-    contract that makes routing safe — identical results regardless of
-    which backend the table picks."""
-
-    def test_bucket_is_job_count_magnitude(self):
-        assert BackendTuner.bucket(1) == 1
-        assert BackendTuner.bucket(2) == 2
-        assert BackendTuner.bucket(1024) == 11
-        assert BackendTuner.bucket(65536) == 17
-
-    def test_exploit_routes_to_measured_winner(self, framework):
-        """With dag_replay measured as slow and vector_replay as fast
-        in the shard's bucket, the tuner routes the shard to
-        vector_replay — and the results match the untuned run
-        bit for bit."""
-        jobs = _jobs(framework, [(64, build_kpoint_pipeline)] * 32)
-        bucket = BackendTuner.bucket(len(jobs))
-        tuner = BackendTuner()
-        tuner.merge(
-            [
-                (bucket, "dag_replay", 10.0, 32.0),
-                (bucket, "vector_replay", 0.001, 32.0),
-                (bucket, "chain_replay", 0.5, 32.0),
-            ]
-        )
-        tuned = framework.executor.execute_many(jobs, tuner=tuner)
-        assert tuned.backend_jobs == {"vector_replay": 32}
-        untuned = framework.executor.execute_many(jobs)
-        assert untuned.backend_jobs == {"dag_replay": 32}
-        assert _identical(tuned, untuned)
-
-    def test_explore_measures_each_replay_once_per_bucket(self, framework):
-        """Fresh table: consecutive identical shards walk through the
-        unmeasured replays (static order) before exploiting, and every
-        run stays bit-identical."""
-        jobs = _jobs(framework, [(64, build_pipeline)] * 16)
-        tuner = BackendTuner()
-        reference = framework.executor.execute_many(jobs)
-        seen = []
-        for _ in range(3):
-            report = framework.executor.execute_many(jobs, tuner=tuner)
-            assert _identical(report, reference)
-            (name,) = report.backend_jobs
-            seen.append(name)
-        assert set(seen) == {"chain_replay", "dag_replay", "vector_replay"}
-        bucket = BackendTuner.bucket(len(jobs))
-        measured = {
-            name for b, name, _w, _j in tuner.snapshot() if b == bucket
-        }
-        assert measured == {"chain_replay", "dag_replay", "vector_replay"}
-
-    def test_forced_engine_run_is_recorded(self, framework):
-        jobs = _jobs(framework, [(64, build_pipeline)] * 4)
-        tuner = BackendTuner()
-        framework.executor.execute_many(jobs, backend="engine", tuner=tuner)
-        rows = tuner.snapshot()
-        assert [(name, jobs_total) for _b, name, _w, jobs_total in rows] == [
-            ("engine", 4.0)
-        ]
-
-    def test_snapshot_merge_clear_roundtrip(self):
-        tuner = BackendTuner()
-        tuner.record(16, "vector_replay", 0.25)
-        tuner.record(16, "vector_replay", 0.75)
-        tuner.record(3, "engine", 0.5)
-        rows = tuner.snapshot()
-        assert rows == [
-            (2, "engine", 0.5, 3.0),
-            (5, "vector_replay", 1.0, 32.0),
-        ]
-        other = BackendTuner()
-        assert other.merge(rows) == 2
-        assert other.snapshot() == rows
-        # Stale rows for unregistered backends are skipped, not kept.
-        assert other.merge([(4, "retired_backend", 1.0, 8.0)]) == 0
-        assert other.snapshot() == rows
-        other.clear()
-        assert other.snapshot() == []
-
-    def test_merge_skips_malformed_rows(self):
-        """A corrupt snapshot row (NaN/negative/infinite wall, zero or
-        negative job count, wrong arity, non-numeric fields) is skipped
-        instead of poisoning the persistent winner table."""
-        import math
-
-        bad_rows = [
-            (5, "vector_replay", math.nan, 32.0),
-            (5, "vector_replay", -1.0, 32.0),
-            (5, "vector_replay", math.inf, 32.0),
-            (5, "vector_replay", 1.0, 0.0),
-            (5, "vector_replay", 1.0, -4.0),
-            (5, "vector_replay", 1.0, math.nan),
-            (5, "vector_replay", 1.0),  # wrong arity
-            (5, "vector_replay", "fast", 32.0),  # non-numeric wall
-            ("bucket", "vector_replay", 1.0, 32.0),  # non-numeric bucket
-            (5, "retired_backend", 1.0, 32.0),  # unregistered name
-        ]
-        tuner = BackendTuner()
-        assert tuner.merge(bad_rows) == 0
-        assert tuner.snapshot() == []
-        # Valid rows interleaved with garbage still fold, and a
-        # zero-wall row (timer resolution) remains legal.
-        mixed = [
-            (5, "vector_replay", 1.0, 32.0),
-            (5, "vector_replay", math.nan, 32.0),
-            (5, "chain_replay", 0.0, 16.0),
-        ]
-        assert tuner.merge(mixed) == 2
-        assert tuner.snapshot() == [
-            (5, "chain_replay", 0.0, 16.0),
-            (5, "vector_replay", 1.0, 32.0),
-        ]
-
-    def test_framework_persists_tuner_across_save_load(self, tmp_path):
-        first = NdftFramework()
-        first.run_many([64, 128, 512])
-        rows = first._backend_tuner.snapshot()
-        assert rows  # run_many measured at least one shard
-        path = first.save_caches(tmp_path / "caches.json")
-        second = NdftFramework()
-        assert second._backend_tuner.snapshot() == []
-        second.load_caches(path)
-        assert second._backend_tuner.snapshot() == rows
-
-    def test_routing_never_changes_results(self):
-        """The auto-tuning determinism contract: two frameworks — one
-        cold, one with a deliberately skewed warmed winner table —
-        produce identical batch results for the same workload."""
-        sizes = [64, 128] * 12
-        cold = NdftFramework()
-        cold_result = cold.run_many(sizes)
-        warmed = NdftFramework()
-        warmed._backend_tuner.merge(
-            [
-                (BackendTuner.bucket(len(sizes)), "dag_replay", 0.0001, 24.0),
-                (BackendTuner.bucket(len(sizes)), "chain_replay", 99.0, 24.0),
-                (
-                    BackendTuner.bucket(len(sizes)),
-                    "vector_replay",
-                    50.0,
-                    24.0,
-                ),
-            ]
-        )
-        warmed_result = warmed.run_many(sizes)
-        assert cold_result.makespan == warmed_result.makespan
-        assert cold_result.solo_times == warmed_result.solo_times
-        assert (
-            cold_result.batch_report.job_reports
-            == warmed_result.batch_report.job_reports
-        )
-        assert (
-            cold_result.batch_report.lane_occupancy
-            == warmed_result.batch_report.lane_occupancy
-        )
-
-
 class TestRegistryOrder:
-    def test_vector_replay_registered_after_dag_replay(self):
-        names = backend_names()
-        assert names[-1] == "engine"
-        assert names.index("chain_replay") < names.index("dag_replay")
-        assert names.index("dag_replay") < names.index("vector_replay")
-        assert "vector_replay" in names
+    def test_static_capability_order(self):
+        assert backend_names() == (
+            "vector_replay",
+            "chain_replay",
+            "dag_replay",
+            "engine",
+        )
+
+    @pytest.mark.parametrize(
+        "entries, arrivals, expected",
+        [
+            pytest.param(
+                [(64, build_kpoint_pipeline)] * 16,
+                None,
+                "vector_replay",
+                id="single-signature-closed-kpoint",
+            ),
+            pytest.param(
+                [(64, build_pipeline), (128, build_pipeline)] * 8,
+                None,
+                "chain_replay",
+                id="multi-signature-chains",
+            ),
+            pytest.param(
+                [(64, build_kpoint_pipeline), (128, build_kpoint_pipeline)] * 8,
+                None,
+                "dag_replay",
+                id="multi-signature-kpoint",
+            ),
+            pytest.param(
+                [(64, build_pipeline)] * 60,
+                [round(i * 0.01, 4) for i in range(60)],
+                "chain_replay",
+                id="single-signature-open-chain",
+            ),
+        ],
+    )
+    def test_auto_walk_per_shard_class(
+        self, framework, entries, arrivals, expected
+    ):
+        """The first backend in static order that accepts the shard
+        simulates it, bit-identically to the engine.  Single-signature
+        shards always reach ``vector_replay``; the open-queue chain is
+        declined there late (unprovable wave order) and falls through."""
+        jobs = _jobs(framework, entries)
+        auto = framework.executor.execute_many(jobs, arrivals=arrivals)
+        assert auto.backend_jobs == {expected: len(jobs)}
+        engine = framework.executor.execute_many(
+            jobs, arrivals=arrivals, backend="engine"
+        )
+        assert _identical(auto, engine)
+        vector = get_backend("vector_replay")
+        single = len(set(entries)) == 1
+        assert vector.supports(framework.executor, jobs) is single
+        if single and expected != "vector_replay":
+            assert (
+                vector.simulate(framework.executor, jobs, arrivals, {})
+                is None
+            )
+
+
+class TestStaticRouting:
+    """The static walk keeps no routing state: the same shard takes the
+    same backend on every call, a restored framework routes like a cold
+    one, and forcing any accepting backend never moves a float."""
+
+    def test_repeated_calls_take_the_same_backend(self, framework):
+        jobs = _jobs(framework, [(64, build_pipeline)] * 16)
+        reference = framework.executor.execute_many(jobs, backend="engine")
+        for _ in range(3):
+            report = framework.executor.execute_many(jobs)
+            assert report.backend_jobs == {"vector_replay": 16}
+            assert _identical(report, reference)
+
+    def test_forced_engine_run_is_timed(self, framework):
+        jobs = _jobs(framework, [(64, build_pipeline)] * 4)
+        report = framework.executor.execute_many(jobs, backend="engine")
+        assert report.backend_jobs == {"engine": 4}
+        assert [(t.backend, t.n_jobs) for t in report.backend_timings] == [
+            ("engine", 4)
+        ]
+        assert report.backend_wall_seconds["engine"] > 0.0
+
+    def test_forced_backends_never_change_results(self):
+        sizes = [64, 128] * 12
+        auto = NdftFramework().run_many(sizes)
+        assert auto.batch_report.backend_jobs == {"chain_replay": len(sizes)}
+        for name in ("chain_replay", "dag_replay", "engine"):
+            forced = NdftFramework().run_many(sizes, backend=name)
+            assert forced.batch_report.backend_jobs == {name: len(sizes)}
+            assert _identical(forced.batch_report, auto.batch_report)
+            assert forced.solo_times == auto.solo_times
+
+    def test_restored_framework_routes_like_a_cold_one(self, tmp_path):
+        sizes = [64] * 8 + [128, 512]
+        saver = NdftFramework()
+        saver.run_many([64] * 8)
+        path = saver.save_caches(tmp_path / "caches.pkl")
+        restored = NdftFramework()
+        restored.load_caches(path)
+        warm = restored.run_many(sizes).batch_report
+        cold = NdftFramework().run_many(sizes).batch_report
+        assert warm.backend_jobs == cold.backend_jobs
+        assert [t.backend for t in warm.backend_timings] == [
+            t.backend for t in cold.backend_timings
+        ]
+        assert _identical(warm, cold)
