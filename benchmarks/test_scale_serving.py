@@ -170,7 +170,7 @@ def test_scaleout_batch_des_speedup():
 def test_dag_batch_replay_speedup():
     """The backend-layer tentpole: a DAG-heavy (k-point) 512-job batch
     runs the slim DAG replay — not the generator engine — and beats the
-    forced-engine path by >= 2x wall-clock (measured ~3-4x), with
+    forced-engine path by >= 2x wall-clock (measured ~5-7x), with
     bit-identical reports (the equivalence itself is property-tested in
     tests/core/test_dag_replay.py)."""
     framework = NdftFramework()
@@ -212,10 +212,10 @@ def test_dag_batch_replay_speedup():
 
 def test_vector_replay_speedup():
     """The wave-replay tentpole: a 16384-job single-signature k-point
-    shard runs the numpy wave recurrence >= 5x faster wall-clock than
-    the slim DAG replay (measured ~7-9x), with bit-identical reports
-    *and* lane occupancy (the equivalence itself is property-tested in
-    tests/core/test_vector_replay.py)."""
+    shard runs the numpy wave recurrence >= 2.5x faster wall-clock than
+    the segment-fused DAG replay (measured ~4-5x on a 2-vCPU host),
+    with bit-identical reports *and* lane occupancy (the equivalence
+    itself is property-tested in tests/core/test_vector_replay.py)."""
     framework = NdftFramework()
     pipeline = framework._build_pipeline(
         problem_size(64), build_kpoint_pipeline
@@ -255,7 +255,7 @@ def test_vector_replay_speedup():
         f"{dag_wall*1e3:.1f} ms -> vector_replay {vector_wall*1e3:.1f} ms "
         f"({speedup:.1f}x, results_identical={results_identical})"
     )
-    assert speedup >= 5.0
+    assert speedup >= 2.5
 
 
 def test_fleet_results_bit_identical_to_single_process():

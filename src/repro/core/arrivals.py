@@ -44,7 +44,7 @@ from typing import Sequence
 
 import numpy as np
 
-from repro.errors import finite_float
+from repro.errors import ConfigError, finite_float
 
 # Re-exported from the foundation layer so existing callers keep this
 # import path; the implementation lives in repro.stats, low enough for
@@ -96,10 +96,10 @@ def poisson_arrivals(
     ``rate`` raises :class:`~repro.errors.ConfigError`.
     """
     if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     rate = finite_float(rate, "arrival rate")
     if rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {rate}")
+        raise ConfigError(f"arrival rate must be > 0, got {rate}")
     uniforms = np.random.RandomState(_mt_seed_key(seed)).random_sample(n_jobs)
     np.subtract(1.0, uniforms, out=uniforms)
     # math.log, not np.log: the SIMD log differs from libm by one ulp on
@@ -117,9 +117,9 @@ def _poisson_arrivals_loop(
     """The original scalar sampler, kept as the bit-compatibility oracle
     for :func:`poisson_arrivals` (regression-tested, not served)."""
     if n_jobs < 1:
-        raise ValueError(f"n_jobs must be >= 1, got {n_jobs}")
+        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
     if rate <= 0:
-        raise ValueError(f"arrival rate must be > 0, got {rate}")
+        raise ConfigError(f"arrival rate must be > 0, got {rate}")
     generator = random.Random(seed)
     now = 0.0
     offsets = []
@@ -162,12 +162,12 @@ class AdmissionPolicy:
 
     def __post_init__(self):
         if self.mode not in ADMISSION_MODES:
-            raise ValueError(
+            raise ConfigError(
                 f"admission mode must be one of {ADMISSION_MODES}, "
                 f"got {self.mode!r}"
             )
         if self.slo_p99 is None and self.max_queue_depth is None:
-            raise ValueError(
+            raise ConfigError(
                 "an admission policy needs slo_p99 and/or max_queue_depth"
             )
         # A NaN SLO compares false against every prediction, so it
@@ -175,9 +175,9 @@ class AdmissionPolicy:
         if self.slo_p99 is not None:
             finite_float(self.slo_p99, "slo_p99")
         if self.slo_p99 is not None and self.slo_p99 <= 0:
-            raise ValueError(f"slo_p99 must be > 0, got {self.slo_p99}")
+            raise ConfigError(f"slo_p99 must be > 0, got {self.slo_p99}")
         if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ValueError(
+            raise ConfigError(
                 f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
             )
 
@@ -238,7 +238,7 @@ def plan_admission(
     """
     n = len(arrivals)
     if not (len(solo_times) == len(lanes) == len(labels) == n):
-        raise ValueError(
+        raise ConfigError(
             "arrivals, solo_times, lanes and labels must align: got "
             f"{n}/{len(solo_times)}/{len(lanes)}/{len(labels)}"
         )

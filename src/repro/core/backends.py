@@ -26,13 +26,15 @@ scattered through the executor:
                      Declines cross-signature shards, zero durations
                      and tie patterns that need the engine's banded
                      hop cascade.
-  ``chain_replay``   all-single-chain shards via
-                     :func:`repro.hw.engine.replay_chain_batch` — one
-                     cursor per job, the leanest event loop.
+  ``chain_replay``   all-single-chain shards — a capability label over
+                     the ``dag_replay`` kernel (segment fusion runs a
+                     chain on one cursor per job), kept so shard
+                     accounting still names the chain shape.
   ``dag_replay``     any DAG shard via
-                     :func:`repro.hw.engine.replay_dag_batch` — per-
-                     replica join counters on fan-in stages, so k-point
-                     and other branching pipelines still get the
+                     :func:`repro.hw.engine.replay_dag_batch` — one
+                     cursor per fused stage run plus per-replica join
+                     counters on fan-in stages, so k-point and other
+                     branching pipelines still get the
                      one-event-per-occupancy replay.
   ``engine``         anything, through the generator
                      :class:`repro.hw.engine.Engine` — the universal
@@ -48,7 +50,7 @@ not decline it; results are bit-identical whichever backend runs
 like the paper's Eq. 1 placement, rather than measured at run time:
 ``vector_replay``'s capability check is an O(1) "exactly one
 template" test, so multi-signature shards skip it for free and fall to
-the chain replay (all chains) or the DAG replay (any DAG).  A
+the DAG replay (labelled ``chain_replay`` when every job is a chain).  A
 single-signature open-queue shard whose arrivals interleave with
 earlier replicas' waves is declined late ("unprovable tie") and falls
 through the same way.  Any trace observer bypasses the registry
@@ -82,7 +84,7 @@ from collections.abc import Sequence
 from typing import TYPE_CHECKING, Protocol, runtime_checkable
 
 from repro.errors import SimulationError
-from repro.hw.engine import replay_chain_batch, replay_dag_batch
+from repro.hw.engine import replay_dag_batch
 from repro.hw.vector_replay import replay_vector_batch
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
@@ -185,49 +187,6 @@ class JobTable(Sequence):
         return map(self.templates.__getitem__, self.job_template)
 
 
-def _replay_shard(
-    executor,
-    shard_jobs,
-    shard_arrivals,
-    flatten,
-    replay,
-    lane_log,
-) -> ShardResult | None:
-    """The shared replay scaffold both slim backends run: coalesce the
-    shard into super-jobs (its :class:`JobTable` templates), ``flatten``
-    each template once into its replay input (returning
-    ``(None, overhead)`` to decline the whole shard, e.g. on a
-    zero-duration task), ``replay`` the per-replica input lists,
-    rebuild per-job reports from the template reports, and file the
-    replay's per-resource occupancy intervals into ``lane_log`` under
-    the interned resources' lane names."""
-    table = JobTable.of(shard_jobs)
-    resource_ids: dict[object, int] = {}
-    template_inputs: list = []
-    template_reports: list = []
-    for pipeline, schedule in table.templates:
-        flattened, overhead_total = flatten(
-            executor, pipeline, schedule, resource_ids
-        )
-        if flattened is None:  # degenerate zero-duration task
-            return None
-        template_inputs.append(flattened)
-        template_reports.append(
-            executor._job_report(pipeline, schedule, overhead_total, 0.0)
-        )
-    finish, makespan, occupancy = replay(
-        [template_inputs[t] for t in table.job_template],
-        [0.0] * len(table) if shard_arrivals is None else shard_arrivals,
-        len(resource_ids),
-    )
-    _file_occupancy(resource_ids, occupancy, lane_log)
-    reports = [
-        template_reports[t].at(time)
-        for t, time in zip(table.job_template, finish)
-    ]
-    return reports, makespan, len(table.templates)
-
-
 def _file_occupancy(resource_ids, occupancy, lane_log) -> None:
     """File a replay's per-resource occupancy intervals into
     ``lane_log`` under the interned resources' lane names."""
@@ -319,33 +278,6 @@ UNPROVABLE_TIE_REASON = (
 )
 
 
-class ChainReplayBackend:
-    """Slim FIFO replay for shards of single connected chains."""
-
-    name = "chain_replay"
-
-    def supports(self, executor, shard_jobs) -> bool:
-        return all(
-            executor._is_single_chain(pipeline)
-            for pipeline, _schedule in JobTable.of(shard_jobs).templates
-        )
-
-    def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        return _replay_shard(
-            executor,
-            shard_jobs,
-            shard_arrivals,
-            flatten=lambda ex, p, s, ids: ex._chain_tasks(p, s, ids),
-            replay=replay_chain_batch,
-            lane_log=lane_log,
-        )
-
-    def unsupported_reason(self, executor, shard_jobs) -> str:
-        if not self.supports(executor, shard_jobs):
-            return NON_CHAIN_SHARD_REASON
-        return _ZERO_DURATION_REASON
-
-
 class DagReplayBackend:
     """Slim FIFO replay for arbitrary DAG shards: per-replica join
     counters on the fan-in stages keep branching pipelines (k-point
@@ -357,44 +289,84 @@ class DagReplayBackend:
         return True
 
     def simulate(self, executor, shard_jobs, shard_arrivals, lane_log):
-        return _replay_shard(
-            executor,
-            shard_jobs,
-            shard_arrivals,
-            flatten=self._dag_program,
-            replay=replay_dag_batch,
-            lane_log=lane_log,
+        """Coalesce the shard into super-jobs (its :class:`JobTable`
+        templates), flatten each template once (:meth:`_dag_program`;
+        a zero-duration task declines the whole shard), replay the
+        per-replica programs, rebuild per-job reports from the template
+        reports, and file the per-resource occupancy intervals into
+        ``lane_log`` under the interned resources' lane names."""
+        table = JobTable.of(shard_jobs)
+        resource_ids: dict[object, int] = {}
+        template_programs: list = []
+        template_reports: list = []
+        for pipeline, schedule in table.templates:
+            program, overhead_total = self._dag_program(
+                executor, pipeline, schedule, resource_ids
+            )
+            if program is None:  # degenerate zero-duration task
+                return None
+            template_programs.append(program)
+            template_reports.append(
+                executor._job_report(pipeline, schedule, overhead_total, 0.0)
+            )
+        finish, makespan, occupancy = replay_dag_batch(
+            [template_programs[t] for t in table.job_template],
+            [0.0] * len(table) if shard_arrivals is None else shard_arrivals,
+            len(resource_ids),
         )
+        _file_occupancy(resource_ids, occupancy, lane_log)
+        reports = [
+            template_reports[t].at(time)
+            for t, time in zip(table.job_template, finish)
+        ]
+        return reports, makespan, len(table.templates)
 
     @staticmethod
     def _dag_program(executor, pipeline, schedule, resource_ids):
         """Flatten one job into a :func:`repro.hw.engine.replay_dag_batch`
-        program: per-stage task lists
-        (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`,
-        the same pricing/interning walk the chain replay uses) plus
-        predecessor indices, all in topological order.  Returns
+        program: per-stage task tuples
+        (:meth:`~repro.core.executor.PipelineExecutor._flatten_stage`)
+        plus predecessor indices, all in topological order.  Returns
         ``(None, overhead)`` when any duration is non-positive: the
         replay's banded tie-handling assumes time strictly advances per
         occupancy, so zero-cost tasks fall back to the generator
-        engine."""
+        engine.  The program is tuples of plain numbers throughout, which
+        the garbage collector stops tracking, so one program per
+        distinct job adds little collection work."""
         overhead_total = executor._eq1_overhead(pipeline, schedule)
-        topo = pipeline.topological_order
-        position_of = {name: i for i, name in enumerate(topo)}
-        stage_tasks: list[list[tuple[int, float]]] = []
-        stage_preds: list[tuple[int, ...]] = []
-        for name in topo:
+        stage_tasks: list[tuple[tuple[int, float], ...]] = []
+        for name in pipeline.topological_order:
             tasks = executor._flatten_stage(
                 pipeline, schedule, name, resource_ids
             )
-            if any(duration <= 0.0 for _res, duration in tasks):
-                return None, overhead_total
+            for _resource, duration in tasks:
+                if duration <= 0.0:
+                    return None, overhead_total
             stage_tasks.append(tasks)
-            stage_preds.append(
-                tuple(position_of[p] for p in pipeline.predecessors(name))
-            )
-        return (stage_tasks, stage_preds), overhead_total
+        program = (tuple(stage_tasks), pipeline.predecessor_positions)
+        return program, overhead_total
 
     def unsupported_reason(self, executor, shard_jobs) -> str:
+        return _ZERO_DURATION_REASON
+
+
+class ChainReplayBackend(DagReplayBackend):
+    """The ``dag_replay`` kernel restricted to shards of single
+    connected chains.  Segment fusion already runs a chain on one
+    cursor per job, so this is a capability label, not a second kernel:
+    shard accounting (``backend_jobs``) keeps naming the chain shape."""
+
+    name = "chain_replay"
+
+    def supports(self, executor, shard_jobs) -> bool:
+        return all(
+            executor._is_single_chain(pipeline)
+            for pipeline, _schedule in JobTable.of(shard_jobs).templates
+        )
+
+    def unsupported_reason(self, executor, shard_jobs) -> str:
+        if not self.supports(executor, shard_jobs):
+            return NON_CHAIN_SHARD_REASON
         return _ZERO_DURATION_REASON
 
 
@@ -407,7 +379,7 @@ class VectorReplayBackend:
     recurrences over the (replica, stage-occupancy) grid — no
     per-occupancy Python event.  The backend supports exactly the
     single-signature shards (two signatures sharing a lane interleave
-    in arrival order, which only the event-driven replays reproduce)
+    in arrival order, which only the event replay reproduces)
     and declines late when the wave recurrence cannot prove it matches
     the engine's grant order (zero durations, cross-wave or fan-in
     same-instant ties): bit-identical or fall back, never approximate.

@@ -407,8 +407,9 @@ class PipelineExecutor:
           to the first registered simulation backend
           (:mod:`repro.core.backends`) that supports it and does not
           decline it: the numpy wave replay (single-signature shards),
-          the slim chain FIFO replay, the DAG replay (join counters on
-          fan-in stages), or the generator engine as the universal
+          the FIFO event replay (fused single-edge stage runs plus join
+          counters on fan-in stages; labelled ``chain_replay`` on
+          all-chain shards), or the generator engine as the universal
           fallback.
 
         ``backend`` names one registered backend to force for every
@@ -767,7 +768,7 @@ class PipelineExecutor:
         schedule: Schedule,
         name: str,
         resource_ids: dict[object, int],
-    ) -> list[tuple[int, float]]:
+    ) -> tuple[tuple[int, float], ...]:
         """One stage as FIFO-replay tasks: ``(resource index, duration)``
         pairs — each boundary-crossing in-edge's transfer on the owning
         wire (in-edge order), then the stage on its device — exactly the
@@ -775,8 +776,8 @@ class PipelineExecutor:
         ``resource_ids`` interns devices (:class:`Placement`) and wires
         (placement-pair frozensets) shard-wide, so replicas and distinct
         groups contend on the same indices.  The single pricing/interning
-        walk both replay backends flatten through — change boundary
-        pricing here and the chain replay, the DAG replay and the engine
+        walk every replay backend flattens through — change boundary
+        pricing here and the event replay, the wave replay and the engine
         (via :meth:`_eq1_overhead`'s cross-check) stay in lockstep."""
         placement = schedule.assignments[name]
         tasks: list[tuple[int, float]] = []
@@ -799,45 +800,7 @@ class PipelineExecutor:
         if device is None:
             device = resource_ids[placement] = len(resource_ids)
         tasks.append((device, schedule.stage_times[name].total))
-        return tasks
-
-    def _chain_tasks(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        resource_ids: dict[object, int],
-    ) -> tuple[list[tuple[int, float, int]] | None, float]:
-        """Flatten one single-chain job into FIFO-replay tasks.
-
-        Tasks are ``(resource index, duration, entry_hop)`` in chain
-        order (:meth:`_flatten_stage` per stage).  ``entry_hop`` is the
-        engine's same-instant cascade distance from the previous task's
-        completion to this task's acquire (1 within a stage, 2 across a
-        stage boundary; see :func:`repro.hw.engine.replay_chain_batch`).
-        The job total comes from :meth:`_eq1_overhead` (the one
-        scheduler-order summation).
-
-        Returns ``(None, overhead)`` when any duration is non-positive:
-        the replay's banded tie-handling assumes time strictly advances
-        per occupancy, so zero-cost tasks (possible only under degenerate
-        custom cost models) fall back to the generator engine.
-        """
-        overhead_total = self._eq1_overhead(pipeline, schedule)
-        tasks: list[tuple[int, float, int]] = []
-        for name in pipeline.topological_order:
-            stage_tasks = self._flatten_stage(
-                pipeline, schedule, name, resource_ids
-            )
-            for wire, cost in stage_tasks[:-1]:
-                tasks.append((wire, cost, 2))
-            device, duration = stage_tasks[-1]
-            entry_hop = (
-                1 if len(stage_tasks) > 1 else (2 if tasks else 0)
-            )
-            tasks.append((device, duration, entry_hop))
-        if any(duration <= 0.0 for _res, duration, _hop in tasks):
-            return None, overhead_total
-        return tasks, overhead_total
+        return tuple(tasks)
 
     def _execute_batch_engine(
         self,

@@ -8,7 +8,7 @@ A :class:`FaultPlan` describes *when lanes break* in virtual time:
   window waits the window out; a window that *starts* while a task is in
   service kills the whole job at the window start (advance-knowledge,
   preemption-free semantics — see
-  :func:`repro.hw.engine.resolve_faulty_service`).
+  :func:`repro.hw.engine.resolve_degraded_service`).
 - **permanent failures** — a device lane dies at time ``t`` and never
   comes back.  Jobs released after the death are re-placed through the
   exact scheduling DP with the dead target excluded (graceful

@@ -121,6 +121,14 @@ class Pipeline:
             self, "_out_edges", {n: tuple(es) for n, es in out_edges.items()}
         )
         object.__setattr__(self, "_topo_order", tuple(topo))
+        position = {n: i for i, n in enumerate(topo)}
+        object.__setattr__(
+            self,
+            "_predecessor_positions",
+            tuple(
+                tuple(position[e.src] for e in in_edges[n]) for n in topo
+            ),
+        )
         # Shape predicates are queried per job at batch-serving scale
         # (the executor's chain fast path asks for every batch member),
         # so derive them once with the other indexes.
@@ -173,6 +181,13 @@ class Pipeline:
 
     def successors(self, name: str) -> tuple[str, ...]:
         return tuple(e.dst for e in self.out_edges(name))
+
+    @property
+    def predecessor_positions(self) -> tuple[tuple[int, ...], ...]:
+        """Per stage in :attr:`topological_order`, its predecessors'
+        topological positions in in-edge order — the DAG replay's
+        program shape, derived once per pipeline."""
+        return self._predecessor_positions
 
     @property
     def entry_stages(self) -> tuple[str, ...]:

@@ -283,7 +283,7 @@ class Engine:
 
 
 # ---------------------------------------------------------------------------
-# Array-based event calendar (shared by the slim replays)
+# Array-based event calendar (used by the event replay)
 # ---------------------------------------------------------------------------
 
 
@@ -304,10 +304,10 @@ class EventCalendar:
     the payload array is sized once and never reallocates; :meth:`push`
     still grows it on demand for open-ended consumers.
 
-    The hot loops in :func:`replay_chain_batch` / :func:`replay_dag_batch`
-    operate on :attr:`heap` / :attr:`payload` directly (bound to locals)
-    rather than through these methods — the methods are the documented
-    API for tests and lighter consumers.
+    The hot loop in :func:`replay_dag_batch` operates on :attr:`heap` /
+    :attr:`payload` directly (bound to locals) rather than through these
+    methods — the methods are the documented API for tests and lighter
+    consumers.
     """
 
     __slots__ = ("heap", "payload", "seq")
@@ -359,240 +359,99 @@ class EventCalendar:
 
 
 # ---------------------------------------------------------------------------
-# Batch FIFO replays (the scale-out serving fast path)
+# Batch FIFO replay (the scale-out serving fast path)
 # ---------------------------------------------------------------------------
 #
 # A batch of scheduled jobs exercises none of the engine's generality:
 # every job is a fixed set of (resource, duration) tasks whose order is
 # known, so the generator machinery (one process per stage, command
 # objects per yield, 4-6 heap events per stage) only re-derives what
-# FIFO semantics already determine.  The replays below compute the *same
-# floats* the engine would — every occupancy start is either the task's
-# own ready time or the previous holder's release time, and grants are
-# FIFO with same-time ties broken by arrival order — with one calendar
-# event per occupancy instead of the engine's per-yield event storm.
-# :func:`replay_chain_batch` handles single-chain jobs with a per-job
-# cursor; :func:`replay_dag_batch` generalizes to branching pipelines
-# with per-replica join counters on the fan-in stages.  The simulation
-# backends (:mod:`repro.core.backends`) cross-check the equivalence in
-# tests and fall back to the full engine for any attached observer or
-# zero-duration task.
-
-
-#: Hop-queue actions (see :func:`replay_chain_batch`): START allocates a
-#: completion event for an occupancy granted this instant; ACQUIRE
-#: requests the job's current task's resource.
-_START = 0
-_ACQUIRE = 1
-
-
-def replay_chain_batch(
-    job_tasks: "list",
-    arrivals: "list[float]",
-    n_resources: int,
-) -> tuple[list[float], float, list[list[tuple[float, float]]]]:
-    """FIFO replay of a batch of single-chain jobs on shared resources.
-
-    ``job_tasks[j]`` is job ``j``'s task list — ``(resource_index,
-    duration, entry_hop)`` triples in chain order (boundary transfers
-    interleaved with device occupancies); ``arrivals[j]`` is its release
-    time.  Resources are capacity-1 and FIFO, exactly like
-    :class:`Resource`, and every duration must be positive (the caller
-    guarantees it).  Returns the per-job completion times, the makespan
-    (the last completion), and per-resource occupancy intervals —
-    ``occupancy[r]`` is resource ``r``'s ``(start, end)`` list in grant
-    order, where ``end`` is the exact float pushed as the completion
-    event (``start + duration``) — all bit-identical to spawning one
-    engine process per stage (on a capacity-1 resource the grant order
-    *is* the completion order, so the interval lists line up with the
-    engine's occupancy stream entry for entry).
-
-    Event discipline mirrors the engine's ordering contract exactly,
-    including same-instant ties.  One heap entry per occupancy, pushed
-    in the order the engine allocates the matching timeout's ``seq``.
-    At each instant the engine drains a *cascade* of same-time events:
-    completions resume first (in occupancy-start order), and a finishing
-    process reaches its next ``acquire`` only after a number of
-    intermediate events that depends on the transition — resuming
-    mid-stage from a transfer takes one hop (release, then the acquire
-    on the re-push), while crossing a stage boundary takes two (release,
-    StopIteration + watcher wake-up, then the successor's acquire).
-    ``entry_hop`` records that distance (0 for a job's very first task,
-    requested directly at its release event; 1 within a stage; 2 across
-    stages), and the replay processes each instant in banded hops —
-    completions and arrivals, then hop-1 actions, then hop-2, ... — with
-    grants scheduled ahead of the releasing job's own next request, so
-    same-time contention resolves grant-for-grant like the engine.
-
-    Even a batch of *identical* replicas is not the textbook pipelined
-    flow shop: when consecutive stages share a device, a replica's
-    next-stage request enqueues behind every replica already waiting, so
-    service proceeds in stage waves (all stage-0 occupancies, then the
-    stage-1s, ...).  That grant order is emergent — which is why the
-    super-job fast path replays FIFO instead of using a closed form.
-    """
-    n = len(job_tasks)
-    if len(arrivals) != n:
-        raise SimulationError(
-            f"{n} jobs but {len(arrivals)} arrival times"
-        )
-    # Exact event budget: one release event per job plus one completion
-    # per task — the calendar's payload array never reallocates.
-    calendar = EventCalendar(n + sum(len(tasks) for tasks in job_tasks))
-    # Initial release events ordered by (arrival, submission index): the
-    # engine spawns processes in submission order, so same-time releases
-    # request in submission order.
-    calendar.seed(sorted((arrivals[j], j) for j in range(n)))
-    heap = calendar.heap
-    payload = calendar.payload
-    seq = calendar.seq
-    busy = [False] * n_resources
-    waiters: list[deque[int]] = [deque() for _ in range(n_resources)]
-    occupancy: list[list[tuple[float, float]]] = [
-        [] for _ in range(n_resources)
-    ]
-    cursor = [0] * n  # index of the task currently requested/running
-    started = [False] * n  # False until the arrival event is consumed
-    completions = [0.0] * n
-    makespan = 0.0
-    pop = heapq.heappop
-    push = heapq.heappush
-    while heap:
-        time, first_eid = pop(heap)
-        first_job = payload[first_eid]
-        if not heap or heap[0][0] != time:
-            # Tie-free instant — the overwhelmingly common case with
-            # real (float) durations.  No other event shares the
-            # cascade, so grant and next-request resolve inline; the
-            # push order (grant's occupancy first, then this job's, if
-            # any) matches the banded cascade's seq allocation exactly.
-            job = first_job
-            tasks = job_tasks[job]
-            index = cursor[job]
-            if started[job]:
-                resource = tasks[index][0]
-                queue = waiters[resource]
-                if queue:
-                    waiter = queue.popleft()
-                    payload[seq] = waiter
-                    end = time + job_tasks[waiter][cursor[waiter]][1]
-                    occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
-                    seq += 1
-                else:
-                    busy[resource] = False
-                index += 1
-                cursor[job] = index
-                if index == len(tasks):
-                    completions[job] = time
-                    if time > makespan:
-                        makespan = time
-                    continue
-            else:
-                started[job] = True
-            resource, duration = tasks[index][0], tasks[index][1]
-            if busy[resource]:
-                waiters[resource].append(job)
-            else:
-                busy[resource] = True
-                payload[seq] = job
-                end = time + duration
-                occupancy[resource].append((time, end))
-                push(heap, (end, seq))
-                seq += 1
-            continue
-        # Same-instant collision: banded cascade emulation.
-        band = [first_job]
-        while heap and heap[0][0] == time:
-            band.append(payload[pop(heap)[1]])
-        hop_now: list[tuple[int, int]] = []
-        hop_next: list[tuple[int, int]] = []
-        # Band 0: every event at this instant, in start/arrival order.
-        for job in band:
-            tasks = job_tasks[job]
-            index = cursor[job]
-            if started[job]:
-                # Completion: release the resource, handing it to the
-                # longest waiter (FIFO) before this job's own next
-                # request — the engine grants at release, ahead of the
-                # finisher's resume cascade.
-                resource = tasks[index][0]
-                queue = waiters[resource]
-                if queue:
-                    hop_now.append((_START, queue.popleft()))
-                else:
-                    busy[resource] = False
-                index += 1
-                cursor[job] = index
-                if index == len(tasks):
-                    completions[job] = time
-                    if time > makespan:
-                        makespan = time
-                    continue
-                if tasks[index][2] == 1:
-                    hop_now.append((_ACQUIRE, job))
-                else:
-                    hop_next.append((_ACQUIRE, job))
-            else:
-                # Release event: the first task is requested directly at
-                # this pop (the engine handles the entry acquire inline).
-                started[job] = True
-                resource = tasks[index][0]
-                if busy[resource]:
-                    waiters[resource].append(job)
-                else:
-                    busy[resource] = True
-                    hop_now.append((_START, job))
-        # Hop bands: grants/acquires ripple outward exactly one cascade
-        # step per band.  A successful ACQUIRE's occupancy event is
-        # allocated one hop later (the engine's resume-then-timeout),
-        # keeping completion-event order identical to engine seq order.
-        while hop_now or hop_next:
-            upcoming = hop_next
-            hop_next = []
-            for action, job in hop_now:
-                if action == _START:
-                    payload[seq] = job
-                    resource, duration = (
-                        job_tasks[job][cursor[job]][0],
-                        job_tasks[job][cursor[job]][1],
-                    )
-                    end = time + duration
-                    occupancy[resource].append((time, end))
-                    push(heap, (end, seq))
-                    seq += 1
-                else:
-                    resource = job_tasks[job][cursor[job]][0]
-                    if busy[resource]:
-                        waiters[resource].append(job)
-                    else:
-                        busy[resource] = True
-                        upcoming.append((_START, job))
-            hop_now = upcoming
-    return completions, makespan, occupancy
-
-
-# ---------------------------------------------------------------------------
-# DAG-batch FIFO replay
-# ---------------------------------------------------------------------------
+# FIFO semantics already determine.  :func:`replay_dag_batch` computes
+# the *same floats* the engine would — every occupancy start is either
+# the task's own ready time or the previous holder's release time, and
+# grants are FIFO with same-time ties broken by arrival order — with one
+# calendar event per occupancy instead of the engine's per-yield event
+# storm.  A chain is the degenerate DAG: segment fusion
+# (:func:`_fuse_segments`) runs it on one cursor per job.  The
+# simulation backends (:mod:`repro.core.backends`) cross-check the
+# equivalence in tests and fall back to the full engine for any
+# attached observer or zero-duration task.
 #
-# Hop-band action codes (see :func:`replay_dag_batch`), packed with the
-# replica-stage index as ``(rs << 2) | code`` so the cascade bands hold
-# plain ints instead of per-action tuples:
+# Hop-band action codes, packed with the replica-segment index as
+# ``(rs << 3) | code`` so the cascade bands hold plain ints instead of
+# per-action tuples:
 #
 # - START:   allocate the completion event for an occupancy granted one
 #            band earlier (the engine's resume-then-timeout).
-# - ACQUIRE: request the replica-stage's current task's resource.
-# - NOTIFY:  the stage process's StopIteration — mark it finished and
-#            wake its watchers one band later.
-# - WAIT:    one step of a stage's predecessor wait loop (the engine's
+# - ACQUIRE: request the replica-segment's current task's resource.
+# - DEFER:   a fused stage's first acquire, one band late — the band the
+#            engine spends on the previous stage's StopIteration before
+#            its watcher wakes straight into that acquire.
+# - NOTIFY:  the segment's last stage process's StopIteration — mark it
+#            finished and wake its watchers one band later.
+# - WAIT:    one step of a segment's predecessor wait loop (the engine's
 #            ``yield predecessor``): consume one predecessor per band,
 #            park on the first unfinished one, or fall through to the
 #            first task's acquire in the same band.
 _A_START = 0
 _A_ACQUIRE = 1
-_A_NOTIFY = 2
-_A_WAIT = 3
+_A_DEFER = 2
+_A_NOTIFY = 3
+_A_WAIT = 4
+
+
+def _fuse_segments(stage_tasks, stage_preds):
+    """One job program's stages fused into single-entry *segments*.
+
+    A stage with exactly one predecessor, whose only successor it is,
+    joins that predecessor's segment: its engine process parks on that
+    predecessor alone and is its only watcher, so the hand-off is a
+    fixed two-band cascade (the predecessor's StopIteration, then the
+    wake-up falling straight through to the first acquire) that needs
+    no join counter.  A chain fuses into one segment.
+
+    Returns ``(segment_tasks, entries, joins, n_tasks)``:
+
+    - per segment, its stages' ``(resource, duration)`` tasks in order,
+      except that a fused stage's first task carries that two-band hop
+      as a third field, ``(resource, duration, 2)``; every other acquire
+      comes one band after the previous task's release (the first one
+      is requested by the segment's release or wait loop instead);
+    - the segments without predecessors;
+    - ``(segment, predecessor_segments)`` for the rest, in-edge order;
+    - the total task count.
+
+    Segments are numbered by their first stage's topological position,
+    so spawn order — and with it release and watcher-registration
+    order — is unchanged, and a segment's predecessors are always the
+    last stages of their own segments, so a segment ends exactly when
+    the engine's stage process of its last stage does."""
+    out_degree = [0] * len(stage_tasks)
+    for preds in stage_preds:
+        for pred in preds:
+            out_degree[pred] += 1
+    segment_of: list[int] = []
+    segment_tasks: list[tuple] = []
+    entries: list[int] = []
+    joins: list[tuple[int, tuple[int, ...]]] = []
+    n_tasks = 0
+    for tasks, preds in zip(stage_tasks, stage_preds):
+        n_tasks += len(tasks)
+        if len(preds) == 1 and out_degree[preds[0]] == 1:
+            segment = segment_of[preds[0]]
+            resource, duration = tasks[0]
+            segment_tasks[segment] += ((resource, duration, 2), *tasks[1:])
+        else:
+            segment = len(segment_tasks)
+            segment_tasks.append(tuple(tasks))
+            if preds:
+                joins.append((segment, tuple(segment_of[p] for p in preds)))
+            else:
+                entries.append(segment)
+        segment_of.append(segment)
+    # Tuples of plain numbers, like the program: the garbage collector
+    # stops tracking them.
+    return tuple(segment_tasks), tuple(entries), tuple(joins), n_tasks
 
 
 def replay_dag_batch(
@@ -604,40 +463,54 @@ def replay_dag_batch(
 
     ``job_programs[j]`` describes job ``j`` as ``(stage_tasks,
     stage_preds)`` with stages indexed in topological order:
-    ``stage_tasks[s]`` is stage ``s``'s task list — ``(resource_index,
+    ``stage_tasks[s]`` is stage ``s``'s tasks — ``(resource_index,
     duration)`` pairs in execution order (boundary transfers in in-edge
     order, then the device occupancy) — and ``stage_preds[s]`` its
     predecessor stage indices in in-edge order.  ``arrivals[j]`` is the
     job's release time.  Resources are capacity-1 and FIFO, exactly like
     :class:`Resource`, and every duration must be positive (the caller
-    guarantees it).  Returns per-job completion times, the makespan,
-    and per-resource occupancy intervals in grant order (the same
-    ``(start, start + duration)`` floats as
-    :func:`replay_chain_batch`'s), bit-identical to spawning one engine
-    process per stage.
+    guarantees it).  Returns per-job completion times, the makespan
+    (the last completion), and per-resource occupancy intervals —
+    ``occupancy[r]`` is resource ``r``'s ``(start, end)`` list in grant
+    order, where ``end`` is the exact float pushed as the completion
+    event (``start + duration``) — all bit-identical to spawning one
+    engine process per stage (on a capacity-1 resource the grant order
+    *is* the completion order, so the interval lists line up with the
+    engine's occupancy stream entry for entry).
 
-    This generalizes :func:`replay_chain_batch` from one cursor per job
-    to one cursor per *replica-stage* plus a join counter
-    (``wait_index``) per fan-in: a stage requests its first task only
-    after every predecessor stage of its own replica has finished, which
-    is exactly the ``yield predecessor`` wait chain the engine's stage
-    processes perform.  The calendar still carries one event per
-    occupancy (plus one release event per entry stage); everything else
-    — releases, grants, StopIteration fan-out wake-ups, finished-
-    predecessor skips — is zero-duration and resolves inside the
-    same-instant cascade.
+    Each program is fused into segments once (:func:`_fuse_segments`,
+    memoized per program object, so replicas sharing a program share
+    the fused form) and the replay keeps one cursor per
+    *replica-segment* plus a join counter (``wait_index``) per fan-in: a
+    segment requests its first task only after every predecessor
+    segment of its own replica has finished, which is exactly the
+    ``yield predecessor`` wait chain the engine's stage processes
+    perform.  The calendar carries one event per occupancy (plus one
+    release event per entry segment); everything else — releases,
+    grants, StopIteration fan-out wake-ups, finished-predecessor skips —
+    is zero-duration and resolves inside the same-instant cascade.
 
     Every instant is processed in *hop bands* mirroring the engine's seq
-    allocation order (the same argument as the chain replay's banded
-    emulation, extended with two DAG-only transitions): a completion
-    releases its resource and grants the longest waiter in the next band
-    ahead of its own follow-up; a stage's last completion reaches
-    StopIteration one band later (NOTIFY) and wakes its watchers one
-    band after that, in watcher-registration order; each additional
-    already-finished predecessor a woken stage skips over costs one more
-    band (the engine re-pushes the process per ``yield``).  Same-time
-    completions therefore grant, wake and re-request in exactly the
-    order the generator engine's monotonic seq would produce.
+    allocation order: completions and releases first (in start/arrival
+    order); a completion releases its resource and grants the longest
+    waiter in the next band ahead of its own follow-up; resuming
+    mid-stage reaches the next acquire one band later, crossing into a
+    fused stage two bands later (DEFER); a segment's last completion
+    reaches StopIteration one band later (NOTIFY) and wakes its watchers
+    one band after that, in watcher-registration order; each additional
+    already-finished predecessor a woken segment skips over costs one
+    more band (the engine re-pushes the process per ``yield``).
+    Same-time completions therefore grant, wake and re-request in
+    exactly the order the generator engine's monotonic seq would
+    produce.
+
+    Even a batch of *identical* chain replicas is not the textbook
+    pipelined flow shop: when consecutive stages share a device, a
+    replica's next-stage request enqueues behind every replica already
+    waiting, so service proceeds in stage waves.  That grant order is
+    emergent — which is why the super-job fast path replays FIFO (and
+    :mod:`repro.hw.vector_replay` proves wave orders before using
+    them) rather than a closed form.
     """
     n = len(job_programs)
     if len(arrivals) != n:
@@ -645,41 +518,45 @@ def replay_dag_batch(
             f"{n} jobs but {len(arrivals)} arrival times"
         )
     # ------------------------------------------------------------------
-    # Flatten (replica, stage) into rs indices.  The engine spawns one
+    # Flatten (replica, segment) into rs indices.  The engine spawns one
     # process per stage, jobs in submission order and stages in topo
     # order; at t=0 every non-entry stage parks on its *first*
     # predecessor, so the initial watcher lists are a pure function of
-    # the programs, registered here in that same spawn order.
+    # the programs, registered here in that same spawn order.  (A fused
+    # stage parks on its own segment's previous stage, which the
+    # segment's cursor already orders, so only segment heads register.)
     # ------------------------------------------------------------------
-    rs_tasks: list = []  # task list per replica-stage
-    rs_preds: list = []  # rs indices of predecessors, in-edge order
+    fused: dict[int, tuple] = {}
+    rs_tasks: list = []  # task tuple per replica-segment
+    rs_preds: dict[int, tuple[int, ...]] = {}  # non-entry rs -> pred rs
     rs_job: list[int] = []
+    watchers: dict[int, list[int]] = {}  # rs -> rs parked on it
     entry_events: list[tuple[float, int]] = []
-    remaining = [0] * n  # unfinished stage count per job
+    remaining: list[int] = []  # unfinished segment count per job
     n_tasks_total = 0
-    for j, (stage_tasks, stage_preds) in enumerate(job_programs):
+    for j, program in enumerate(job_programs):
+        segments = fused.get(id(program))
+        if segments is None:
+            segments = fused[id(program)] = _fuse_segments(*program)
+        segment_tasks, entries, joins, n_tasks = segments
         job_base = len(rs_tasks)
+        rs_tasks += segment_tasks
+        rs_job += [j] * len(segment_tasks)
+        remaining.append(len(segment_tasks))
+        n_tasks_total += n_tasks
         release = arrivals[j]
-        remaining[j] = len(stage_tasks)
-        for s, tasks in enumerate(stage_tasks):
-            rs_tasks.append(tasks)
-            preds = stage_preds[s]
-            rs_preds.append(tuple(job_base + p for p in preds))
-            rs_job.append(j)
-            n_tasks_total += len(tasks)
-            if not preds:
-                entry_events.append((release, job_base + s))
+        for s in entries:
+            entry_events.append((release, job_base + s))
+        for s, preds in joins:
+            rs = job_base + s
+            preds = rs_preds[rs] = tuple(job_base + p for p in preds)
+            watchers.setdefault(preds[0], []).append(rs)
     total = len(rs_tasks)
-    watchers: list[list[int]] = [[] for _ in range(total)]
-    for rs in range(total):
-        preds = rs_preds[rs]
-        if preds:
-            watchers[preds[0]].append(rs)
 
-    cursor = [0] * total  # index of the stage's requested/running task
+    cursor = [0] * total  # index of the segment's requested/running task
     wait_index = [0] * total  # predecessor currently being waited on
     started = [False] * total  # False until the first task is requested
-    stage_done = [False] * total
+    segment_done = [False] * total
     busy = [False] * n_resources
     waiters: list[deque[int]] = [deque() for _ in range(n_resources)]
     occupancy: list[list[tuple[float, float]]] = [
@@ -688,7 +565,7 @@ def replay_dag_batch(
     completions = [0.0] * n
     makespan = 0.0
 
-    # Exact event budget: one release event per entry stage plus one
+    # Exact event budget: one release event per entry segment plus one
     # completion per task.  Entry releases are sorted by (arrival, rs) —
     # rs order is (job, topo) order, matching the seq order the engine
     # allocates the release timeouts in at spawn time.
@@ -707,13 +584,15 @@ def replay_dag_batch(
         if not heap or heap[0][0] != time:
             # Tie-free instant — the overwhelmingly common case with
             # real (float) durations.  Grant, cursor advance and
-            # next-request resolve inline; the push order (grant's
-            # occupancy first, then this stage's next, if any) matches
-            # the banded cascade's seq allocation exactly.  Only a
-            # stage end with parked watchers enters the hop bands: the
-            # relative order in which same-instant watchers reach their
-            # acquires depends on how many finished predecessors each
-            # skips, which is precisely what the bands emulate.
+            # next-request resolve inline (no hop can reorder anything
+            # when nothing else shares the instant); the push order
+            # (grant's occupancy first, then this segment's next, if
+            # any) matches the banded cascade's seq allocation exactly.
+            # Only a segment end with parked watchers enters the hop
+            # bands: the relative order in which same-instant watchers
+            # reach their acquires depends on how many finished
+            # predecessors each skips, which is precisely what the
+            # bands emulate.
             tasks = rs_tasks[rs]
             if started[rs]:
                 index = cursor[rs]
@@ -742,18 +621,17 @@ def replay_dag_batch(
                         push(heap, (end, seq))
                         seq += 1
                     continue
-                stage_done[rs] = True
+                segment_done[rs] = True
                 job = rs_job[rs]
                 remaining[job] -= 1
                 if not remaining[job]:
                     completions[job] = time
                     if time > makespan:
                         makespan = time
-                parked = watchers[rs]
-                if not parked:
+                parked = watchers.pop(rs, None)
+                if parked is None:
                     continue
-                watchers[rs] = []
-                cur = [(watcher << 2) | _A_WAIT for watcher in parked]
+                cur = [(watcher << 3) | _A_WAIT for watcher in parked]
             else:
                 started[rs] = True
                 resource = tasks[0][0]
@@ -774,7 +652,7 @@ def replay_dag_batch(
                 band.append(payload[pop(heap)[1]])
             # Band 0: every calendar event at this instant in seq order.
             # Completions release first (grant ahead of the finisher's
-            # own cascade); release events request their entry stage's
+            # own cascade); release events request their entry segment's
             # first task at this pop, like the engine's post-timeout
             # resume.
             nxt: list[int] = []
@@ -785,15 +663,17 @@ def replay_dag_batch(
                     resource = tasks[index][0]
                     queue = waiters[resource]
                     if queue:
-                        nxt.append((queue.popleft() << 2) | _A_START)
+                        nxt.append((queue.popleft() << 3) | _A_START)
                     else:
                         busy[resource] = False
                     index += 1
                     cursor[rs] = index
-                    if index < len(tasks):
-                        nxt.append((rs << 2) | _A_ACQUIRE)
+                    if index == len(tasks):
+                        nxt.append((rs << 3) | _A_NOTIFY)
+                    elif len(tasks[index]) == 2:  # hop 1
+                        nxt.append((rs << 3) | _A_ACQUIRE)
                     else:
-                        nxt.append((rs << 2) | _A_NOTIFY)
+                        nxt.append((rs << 3) | _A_DEFER)
                 else:
                     started[rs] = True
                     resource = tasks[0][0]
@@ -801,20 +681,20 @@ def replay_dag_batch(
                         waiters[resource].append(rs)
                     else:
                         busy[resource] = True
-                        nxt.append((rs << 2) | _A_START)
+                        nxt.append((rs << 3) | _A_START)
             cur = nxt
         # Hop bands: actions ripple outward exactly one engine cascade
         # step per band (see the module comment above the action codes).
         while cur:
             nxt = []
             for action in cur:
-                code = action & 3
-                rs = action >> 2
+                code = action & 7
+                rs = action >> 3
                 if code == _A_START:
                     payload[seq] = rs
-                    resource, duration = rs_tasks[rs][cursor[rs]]
-                    end = time + duration
-                    occupancy[resource].append((time, end))
+                    task = rs_tasks[rs][cursor[rs]]
+                    end = time + task[1]
+                    occupancy[task[0]].append((time, end))
                     push(heap, (end, seq))
                     seq += 1
                 elif code == _A_ACQUIRE:
@@ -823,30 +703,29 @@ def replay_dag_batch(
                         waiters[resource].append(rs)
                     else:
                         busy[resource] = True
-                        nxt.append((rs << 2) | _A_START)
+                        nxt.append((rs << 3) | _A_START)
+                elif code == _A_DEFER:
+                    nxt.append((rs << 3) | _A_ACQUIRE)
                 elif code == _A_NOTIFY:
-                    stage_done[rs] = True
+                    segment_done[rs] = True
                     job = rs_job[rs]
                     remaining[job] -= 1
                     if not remaining[job]:
                         completions[job] = time
                         if time > makespan:
                             makespan = time
-                    parked = watchers[rs]
-                    if parked:
-                        for watcher in parked:
-                            nxt.append((watcher << 2) | _A_WAIT)
-                        watchers[rs] = []
+                    for watcher in watchers.pop(rs, ()):
+                        nxt.append((watcher << 3) | _A_WAIT)
                 else:  # _A_WAIT: one predecessor-loop step
                     preds = rs_preds[rs]
                     index = wait_index[rs] + 1
                     wait_index[rs] = index
                     if index < len(preds):
                         pred = preds[index]
-                        if stage_done[pred]:
-                            nxt.append((rs << 2) | _A_WAIT)
+                        if segment_done[pred]:
+                            nxt.append((rs << 3) | _A_WAIT)
                         else:
-                            watchers[pred].append(rs)
+                            watchers.setdefault(pred, []).append(rs)
                     else:
                         # All joins satisfied: request the first task at
                         # this pop (the engine falls straight through to
@@ -857,7 +736,7 @@ def replay_dag_batch(
                             waiters[resource].append(rs)
                         else:
                             busy[resource] = True
-                            nxt.append((rs << 2) | _A_START)
+                            nxt.append((rs << 3) | _A_START)
             cur = nxt
     return completions, makespan, occupancy
 
@@ -865,35 +744,6 @@ def replay_dag_batch(
 # ---------------------------------------------------------------------------
 # Fault-window service resolution (shared by repro.core.faults)
 # ---------------------------------------------------------------------------
-
-
-def resolve_faulty_service(
-    windows: tuple[tuple[float, float], ...],
-    dead_at: float | None,
-    grant: float,
-    duration: float,
-) -> tuple[float, float | None, str | None]:
-    """Resolve one task's service against a lane's fault timeline.
-
-    ``windows`` is the lane's transient-outage list, sorted by start,
-    non-overlapping, and already clamped at ``dead_at`` (the lane's
-    permanent failure time, or ``None`` if it never dies).  ``grant`` is
-    when the task was granted the lane and ``duration`` its service time.
-
-    The fault semantics are advance-knowledge and preemption-free: a task
-    granted *inside* an outage window waits the window out before
-    starting service (the lane is simply unavailable — no failure), while
-    a window that *starts* mid-service kills the job at the window start.
-    Returns ``(service_start, fail_time, kind)`` where ``fail_time`` is
-    ``None`` on success, and ``kind`` is ``"outage"`` or ``"permanent"``
-    when the task fails.  Occupancy for a failing task is
-    ``[service_start, fail_time)``; for a success it is
-    ``[service_start, service_start + duration)``.
-    """
-    service, _wall, fail_time, kind = resolve_degraded_service(
-        windows, (), dead_at, grant, duration
-    )
-    return service, fail_time, kind
 
 
 def inflate_service(
@@ -952,14 +802,27 @@ def resolve_degraded_service(
 ) -> tuple[float, float, float | None, str | None]:
     """The full advance-knowledge kernel: outages *and* slowdowns.
 
-    Like :func:`resolve_faulty_service`, but the service's wall span is
-    first inflated through the lane's ``slowdowns``
-    (:func:`inflate_service`), and the kill checks — a window starting
-    mid-service, an overrun past the permanent death — run against the
-    *inflated* span: a slowdown can push a service into an outage
-    window it would have cleared at full rate.  Returns
+    ``windows`` is the lane's transient-outage list, sorted by start,
+    non-overlapping, and already clamped at ``dead_at`` (the lane's
+    permanent failure time, or ``None`` if it never dies).  ``grant`` is
+    when the task was granted the lane and ``duration`` its service time.
+
+    The fault semantics are advance-knowledge and preemption-free: a task
+    granted *inside* an outage window waits the window out before
+    starting service (the lane is simply unavailable — no failure), while
+    a window that *starts* mid-service kills the job at the window start.
+    ``kind`` is ``"outage"`` or ``"permanent"`` when the task fails and
+    ``fail_time`` is ``None`` on success.  Occupancy for a failing task is
+    ``[service_start, fail_time)``; for a success it is
+    ``[service_start, service_start + wall_duration)``.
+
+    The service's wall span is first inflated through the lane's
+    ``slowdowns`` (:func:`inflate_service`), and the kill checks — a
+    window starting mid-service, an overrun past the permanent death —
+    run against the *inflated* span: a slowdown can push a service into
+    an outage window it would have cleared at full rate.  Returns
     ``(service_start, wall_duration, fail_time, kind)``; with no
-    slowdowns ``wall_duration`` is exactly ``duration``.
+    slowdowns (``()``) ``wall_duration`` is exactly ``duration``.
     """
     service = grant
     wall = None

@@ -51,7 +51,7 @@ non-adjacent earlier wave, or same-instant ties straddling a replica
 boundary or a fan-in join, where grant order falls to the engine's
 banded hop cascade (:func:`~repro.hw.engine.replay_dag_batch`) that a
 closed recurrence cannot reproduce — are *declined* by returning
-``None`` so the backend walk falls back to the event-driven replays.
+``None`` so the backend walk falls back to the event replay.
 Never silently approximate: every schedule this module does return is
 the engine's, including the per-resource occupancy intervals in grant
 order.
@@ -200,7 +200,7 @@ def _service_grid(
 
 class _Declined(Exception):
     """Internal control flow: the shard's grant order is not provably
-    the wave order — fall back to the event-driven replays."""
+    the wave order — fall back to the event replay."""
 
 
 class _WaveGroup:
@@ -317,7 +317,7 @@ def replay_vector_batch(
     every duration positive — shared by *all* ``len(arrivals)``
     replicas; ``arrivals[j]`` is replica ``j``'s release time.
     Returns the same ``(completions, makespan, occupancy)`` triple as
-    the event-driven replays, bit-identical to the generator engine,
+    the event replay, bit-identical to the generator engine,
     or ``None`` to decline a shard whose grant order is not provably
     the wave order (see the module docstring) — a declined call has no
     side effects.

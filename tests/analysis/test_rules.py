@@ -251,9 +251,10 @@ class TestSlotsRule:
 
 
 class TestErrorDisciplineRule:
-    def test_value_error_fires(self, config):
+    @pytest.mark.parametrize("module", ["repro.fleet.pool", "repro.core.arrivals"])
+    def test_value_error_fires(self, config, module):
         bad = make_module(
-            "repro.fleet.pool",
+            module,
             "def f(x):\n"
             "    if not x:\n"
             "        raise ValueError('no jobs')\n",

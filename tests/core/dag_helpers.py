@@ -2,9 +2,9 @@
 
 The paper's pipelines come from :func:`repro.core.pipeline.build_pipeline`
 and :func:`build_kpoint_pipeline`; these helpers construct arbitrary
-small DAGs (diamonds, random graphs) so the DAG validator, the
-topological-DP scheduler and the concurrent executor can be exercised on
-shapes the paper never needed.
+small DAGs (diamonds, branched chains, random graphs) so the DAG
+validator, the topological-DP scheduler and the concurrent executor can
+be exercised on shapes the paper never needed.
 """
 
 from __future__ import annotations
@@ -62,6 +62,46 @@ def diamond_pipeline(
         Edge("c", "d", edge_bytes),
     )
     return Pipeline(problem=problem_size(64), stages=stages, edges=edges)
+
+
+def branched_chain_pipeline(
+    run_lengths: tuple[int, ...] = (1, 2, 3),
+    tail: int = 2,
+    edge_bytes: float = 1e6,
+    label: str = "",
+) -> Pipeline:
+    """``h`` fans out into one chain run per entry of ``run_lengths``
+    (run ``i`` is ``ri0 -> ri1 -> ...``, 1-3 stages each), the runs
+    re-join at ``j``, and a chain tail ``t0 -> t1 -> ...`` of ``tail``
+    stages follows.  Every run stage past the first and every tail stage has a
+    single predecessor that has no other successor: the single-edge
+    hand-offs the DAG replay fuses into one segment, mixed with the
+    fan-out and fan-in joins it cannot fuse.  ``label`` prefixes every
+    stage name so several shapes can share a batch."""
+    names = ["h"]
+    edges = []
+    for run, length in enumerate(run_lengths):
+        previous = "h"
+        for step in range(length):
+            name = f"r{run}{step}"
+            names.append(name)
+            edges.append((previous, name))
+            previous = name
+        edges.append((previous, "j"))
+    names.append("j")
+    previous = "j"
+    for step in range(tail):
+        name = f"t{step}"
+        names.append(name)
+        edges.append((previous, name))
+        previous = name
+    return Pipeline(
+        problem=problem_size(64),
+        stages=tuple(make_stage(label + name, 1e10, 1e8) for name in names),
+        edges=tuple(
+            Edge(label + src, label + dst, edge_bytes) for src, dst in edges
+        ),
+    )
 
 
 def random_pipeline(rng: random.Random, n_stages: int) -> Pipeline:

@@ -31,17 +31,17 @@ def _mix(n):
 
 class TestAdmissionPolicyValidation:
     def test_needs_at_least_one_criterion(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy()
 
     def test_rejects_bad_mode(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(slo_p99=1.0, mode="drop")
 
     def test_rejects_nonpositive_bounds(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(slo_p99=0.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             AdmissionPolicy(max_queue_depth=0)
 
     def test_json_roundtrip_shape(self):
@@ -56,7 +56,7 @@ class TestAdmissionPolicyValidation:
 class TestPlanAdmission:
     def test_misaligned_inputs_rejected(self):
         policy = AdmissionPolicy(slo_p99=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             plan_admission(policy, [0.0, 1.0], [1.0], [("cpu",)], ["a"])
 
     def test_slo_sheds_backlogged_lane(self):

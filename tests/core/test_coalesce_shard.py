@@ -18,7 +18,7 @@ from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
-from repro.errors import SimulationError
+from repro.errors import ConfigError, SimulationError
 
 SIZES = (16, 64, 128, 512, 1024)
 
@@ -306,9 +306,9 @@ class TestArrivals:
         assert a == b
         assert all(x <= y for x, y in zip(a, a[1:]))
         assert poisson_arrivals(100, rate=2.0, seed=8) != a
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(0, rate=1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             poisson_arrivals(10, rate=0.0)
 
     def test_percentile(self):

@@ -14,7 +14,7 @@ import random
 
 import pytest
 
-from tests.core.dag_helpers import random_pipeline
+from tests.core.dag_helpers import branched_chain_pipeline, random_pipeline
 from repro.core.backends import backend_names, get_backend
 from repro.core.cost_model import OffloadCostModel
 from repro.core.executor import PipelineExecutor
@@ -226,6 +226,34 @@ def _diamond_tie_job(label, cost_model):
     return pipeline, schedule
 
 
+def _branched_chain_tie_job(cost_model):
+    """A :func:`branched_chain_pipeline` — ``h`` fans out into runs of 1,
+    2 and 3 stages that re-join at ``j``, then ``t0 -> t1`` — with round
+    durations spread over the CPU and the NDP and 0.5-byte edges
+    (transfers of 0.5/1.0 + CXT).  Across replicas, the single-edge
+    hand-offs the DAG replay fuses collide at integer instants with
+    transfers, grants and the fan-in join."""
+    pipeline = branched_chain_pipeline(edge_bytes=0.5, label="z")
+    cpu, ndp = Placement.CPU, Placement.NDP
+    schedule = _toy_schedule(
+        pipeline,
+        (cpu, cpu, ndp, ndp, ndp, cpu, ndp, cpu, ndp, ndp),
+        (1.0, 1.0, 1.0, 1.0, 1.0, 1.0, 2.0, 2.0, 2.0, 2.0),
+        cost_model,
+    )
+    return pipeline, schedule
+
+
+def _branched_tie_batches(cost_model, chain_job):
+    """``(jobs, arrivals)`` tie-storm batches of branched-chain replicas,
+    alone and interleaved with ``chain_job``: closed, and with every
+    arrival offset shared by two jobs."""
+    branched = _branched_chain_tie_job(cost_model)
+    for jobs in ([branched] * 4, [branched, chain_job] * 3):
+        for arrivals in (None, [float(i // 2) for i in range(len(jobs))]):
+            yield jobs, arrivals
+
+
 class TestExactTimeTiesOnFanIn:
     def test_fan_in_join_tie_matches_engine(self):
         cost_model = _round_cost_model()
@@ -262,6 +290,19 @@ class TestExactTimeTiesOnFanIn:
             jobs = jobs[::-1]
         for arrivals in (None, [0.0, 1.0] * 4, [0.5] * 8):
             fast = executor.execute_many(jobs, arrivals=arrivals)
+            slow = executor.execute_many(
+                jobs, arrivals=arrivals, coalesce=False, shard=False
+            )
+            assert fast.job_reports == slow.job_reports
+            assert fast.makespan == slow.makespan
+        for jobs, arrivals in _branched_tie_batches(
+            cost_model, (chain, chain_schedule)
+        ):
+            if order:
+                jobs = jobs[::-1]
+            fast = executor.execute_many(
+                jobs, arrivals=arrivals, backend="dag_replay"
+            )
             slow = executor.execute_many(
                 jobs, arrivals=arrivals, coalesce=False, shard=False
             )
@@ -376,6 +417,16 @@ class TestLaneOccupancyEquivalence:
         jobs = [diamond, (chain, chain_schedule)] * 4
         for arrivals in (None, [0.0, 1.0] * 4, [0.5] * 8):
             fast = executor.execute_many(jobs, arrivals=arrivals)
+            slow = executor.execute_many(
+                jobs, arrivals=arrivals, backend="engine"
+            )
+            assert fast.lane_occupancy == slow.lane_occupancy
+        for jobs, arrivals in _branched_tie_batches(
+            cost_model, (chain, chain_schedule)
+        ):
+            fast = executor.execute_many(
+                jobs, arrivals=arrivals, backend="dag_replay"
+            )
             slow = executor.execute_many(
                 jobs, arrivals=arrivals, backend="engine"
             )
