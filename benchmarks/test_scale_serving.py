@@ -153,9 +153,7 @@ def test_scaleout_batch_des_speedup():
 
     fast_wall, fast = best_of(lambda: framework.executor.execute_many(jobs))
     slow_wall, slow = best_of(
-        lambda: framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
-        )
+        lambda: framework.executor.execute_many(jobs, backend="engine")
     )
     assert fast.job_reports == slow.job_reports
     assert fast.makespan == slow.makespan

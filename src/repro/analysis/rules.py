@@ -98,8 +98,7 @@ class RuleConfig:
     #: :mod:`repro.errors` hierarchy.
     error_scope: tuple[str, ...] = (
         "repro.cli",
-        "repro.core.arrivals",
-        "repro.core.framework",
+        "repro.core",
         "repro.fleet",
     )
 

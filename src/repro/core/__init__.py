@@ -15,13 +15,15 @@
   paper's LR-TDDFT chain plus branching (k-point) variants.
 - :mod:`repro.core.executor` — maps schedules onto the machine models via
   the discrete-event engine: DAG-aware waits, branch overlap on distinct
-  devices, and batched multi-job execution on one shared machine, scaled
-  out through signature-coalesced super-jobs and contention-sharded
-  simulations (bit-identical to the plain shared engine).
+  devices, and batched multi-job execution on one shared machine, always
+  scaled out through signature-coalesced super-jobs and
+  contention-sharded simulations (bit-identical to one shared engine,
+  which is what a trace observer runs).
 - :mod:`repro.core.backends` — the simulation-backend layer the executor
-  selects from per contention shard: the chain FIFO replay, the DAG
-  replay (join counters on fan-in stages) and the generator engine
-  fallback, all bit-identical and pluggable via ``register_backend``.
+  selects from per contention shard: the numpy wave replay, the FIFO
+  event replay (labelled ``chain_replay`` on all-chain shards,
+  ``dag_replay`` otherwise) and the generator engine fallback, all
+  bit-identical and pluggable via ``register_backend``.
 - :mod:`repro.core.arrivals` — arrival processes (seeded Poisson),
   latency percentiles and the SLO-driven admission policy
   (shed/deprioritize) for the open-queue serving model.

@@ -19,8 +19,8 @@ drift.  Two details make that exact rather than approximate: numpy's
 derives from an int seed, so both visit the identical Mersenne Twister
 stream, and the log transform goes through ``math.log`` (libm) because
 numpy's SIMD ``np.log`` differs from libm by one ulp on a fraction of
-inputs.  :func:`_poisson_arrivals_loop` keeps the original loop as the
-regression oracle.
+inputs.  ``tests/core/test_arrivals_vectorized.py`` keeps the original
+loop as the regression oracle.
 
 Past the saturation knee an open queue grows without bound, so a served
 deployment needs to *act* at admission time: :class:`AdmissionPolicy`
@@ -38,13 +38,13 @@ from __future__ import annotations
 
 import heapq
 import math
-import random
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, finite_float
+from repro.errors import ConfigError, finite_float, positive_int
 
 # Re-exported from the foundation layer so existing callers keep this
 # import path; the implementation lives in repro.stats, low enough for
@@ -89,14 +89,19 @@ def poisson_arrivals(
     job arrives after one gap (not at t=0), and offsets are
     non-decreasing — the order the open queue admits them.
 
-    Vectorized, but bit-identical to :func:`_poisson_arrivals_loop` for
-    every (seed, rate): the uniforms come from the same Mersenne
-    Twister stream and the exponential transform applies libm's log to
-    each draw, exactly as ``Random.expovariate`` does.  A non-finite
-    ``rate`` raises :class:`~repro.errors.ConfigError`.
+    Vectorized, but bit-identical to the scalar
+    ``Random(seed).expovariate(rate)`` loop for every (seed, rate): the
+    uniforms come from the same Mersenne Twister stream and the
+    exponential transform applies libm's log to each draw, exactly as
+    ``Random.expovariate`` does.  A non-finite ``rate``, an ``n_jobs``
+    that is not an integer >= 1 and a ``seed`` that is not an integer
+    raise :class:`~repro.errors.ConfigError`.
     """
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
+    n_jobs = positive_int(n_jobs, "n_jobs")
+    try:
+        seed = operator.index(seed)
+    except TypeError:
+        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
     rate = finite_float(rate, "arrival rate")
     if rate <= 0:
         raise ConfigError(f"arrival rate must be > 0, got {rate}")
@@ -109,24 +114,6 @@ def poisson_arrivals(
     )
     gaps /= -rate
     return tuple(np.add.accumulate(gaps).tolist())
-
-
-def _poisson_arrivals_loop(
-    n_jobs: int, rate: float, seed: int = 0
-) -> tuple[float, ...]:
-    """The original scalar sampler, kept as the bit-compatibility oracle
-    for :func:`poisson_arrivals` (regression-tested, not served)."""
-    if n_jobs < 1:
-        raise ConfigError(f"n_jobs must be >= 1, got {n_jobs}")
-    if rate <= 0:
-        raise ConfigError(f"arrival rate must be > 0, got {rate}")
-    generator = random.Random(seed)
-    now = 0.0
-    offsets = []
-    for _ in range(n_jobs):
-        now += generator.expovariate(rate)
-        offsets.append(now)
-    return tuple(offsets)
 
 
 #: Admission verdicts a policy can take on an over-SLO arrival.
@@ -176,9 +163,11 @@ class AdmissionPolicy:
             finite_float(self.slo_p99, "slo_p99")
         if self.slo_p99 is not None and self.slo_p99 <= 0:
             raise ConfigError(f"slo_p99 must be > 0, got {self.slo_p99}")
-        if self.max_queue_depth is not None and self.max_queue_depth < 1:
-            raise ConfigError(
-                f"max_queue_depth must be >= 1, got {self.max_queue_depth}"
+        if self.max_queue_depth is not None:
+            object.__setattr__(
+                self,
+                "max_queue_depth",
+                positive_int(self.max_queue_depth, "max_queue_depth"),
             )
 
     def to_json_dict(self) -> dict:

@@ -53,9 +53,11 @@ template" test, so multi-signature shards skip it for free and fall to
 the DAG replay (labelled ``chain_replay`` when every job is a chain).  A
 single-signature open-queue shard whose arrivals interleave with
 earlier replicas' waves is declined late ("unprovable tie") and falls
-through the same way.  Any trace observer bypasses the registry
-entirely — trace consumers need the uncollapsed engine's exact event
-stream.  Additional backends (e.g. a
+through the same way.  The registry walk is skipped only where the
+generator engine is the one simulator that can take the shard: a trace
+observer makes the whole batch one shard on the engine (trace consumers
+need one shared engine's exact event stream), and so does a fault plan
+that touches the shard's lanes (below).  Additional backends (e.g. a
 C-accelerated calendar) plug in via :func:`register_backend`.
 
 Backends may also expose ``unsupported_reason(executor, shard_jobs)``

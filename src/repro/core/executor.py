@@ -17,9 +17,13 @@ Two entry points:
 - :meth:`PipelineExecutor.execute` — one job, one engine; on the paper's
   linear chain this reproduces the original serialized totals exactly
   (the Fig. 7 data).
-- :meth:`PipelineExecutor.execute_many` — a batch of jobs through one
-  shared engine and one shared set of device/link resources: the batching
-  back-end of :meth:`repro.core.framework.NdftFramework.run_many`.
+- :meth:`PipelineExecutor.execute_many` — a batch of jobs on one shared
+  set of device/link resources: the batching back-end of
+  :meth:`repro.core.framework.NdftFramework.run_many`.  One shard loop
+  splits the batch into contention shards and hands each to a
+  simulation backend (:mod:`repro.core.backends`), or straight to the
+  generator engine when an observer or a fault plan needs it; every
+  route gives the floats of one engine shared by the whole batch.
 
 An ``observer`` callback (``lane, label, start, end``) receives every
 occupancy interval — device lanes are named after the placement
@@ -376,8 +380,6 @@ class PipelineExecutor:
         jobs: Sequence[tuple[Pipeline, Schedule]],
         observer: TraceObserver | None = None,
         arrivals: Sequence[float] | None = None,
-        coalesce: bool = True,
-        shard: bool = True,
         backend: str | None = None,
         faults: "FaultPlan | None" = None,
     ) -> BatchExecutionReport:
@@ -395,42 +397,28 @@ class PipelineExecutor:
         non-negative) instead of t=0.  The DES arbitrates device and link
         contention between the released jobs exactly as before.
 
-        Scale-out fast path (results bit-identical to the plain shared
-        engine, cross-checked in tests):
-
-        - ``shard=True`` partitions the batch by contention — jobs whose
-          placements touch disjoint device/link sets share no resources,
-          hence no events, so each partition runs on its own simulation;
-        - ``coalesce=True`` folds jobs with identical pipeline/schedule
-          objects (what the framework's signature caches hand out for
-          duplicate jobs) into weighted super-jobs and hands each shard
-          to the first registered simulation backend
-          (:mod:`repro.core.backends`) that supports it and does not
-          decline it: the numpy wave replay (single-signature shards),
-          the FIFO event replay (fused single-edge stage runs plus join
-          counters on fan-in stages; labelled ``chain_replay`` on
-          all-chain shards), or the generator engine as the universal
-          fallback.
+        The batch is partitioned by contention (jobs whose placements
+        touch disjoint device/link sets share no events, so each shard
+        runs on its own simulation), and each shard goes to the first
+        registered backend (:mod:`repro.core.backends`) that supports
+        it and does not decline it; the replays fold jobs with
+        identical pipeline/schedule objects into weighted super-jobs.
+        Results are bit-identical to one engine shared by the whole
+        batch, whichever backend runs (cross-checked in tests).
+        Per-shard wall time and shard features land in
+        :attr:`BatchExecutionReport.backend_timings`.
 
         ``backend`` names one registered backend to force for every
         shard (the serving benchmark's A/B switch); a forced backend
         that cannot simulate a shard raises :class:`SimulationError`
         naming the reason instead of silently falling back.
-        ``coalesce=False`` pins the uncollapsed engine path, preserving
-        the pre-backend semantics — combining it with a forced
-        non-engine backend (which coalesces by construction) is a
-        contradiction and raises too.
 
-        Results are bit-identical whichever backend runs (every
-        backend reproduces the engine's floats on every shard it
-        accepts).  Per-shard wall time and shard features land in
-        :attr:`BatchExecutionReport.backend_timings`.
-
-        Passing any ``observer`` forces the uncollapsed, unsharded DES:
-        trace consumers see the exact event stream of one shared engine.
+        Passing any ``observer`` makes the whole batch one shard on the
+        generator engine: trace consumers see the exact event stream of
+        one shared engine.
 
         ``faults`` injects a :class:`repro.core.faults.FaultPlan`: shards
-        whose lanes carry fault events run on the fault-aware engine path
+        whose lanes carry fault events run on the fault-aware engine
         (replay backends decline them —
         :data:`repro.core.backends.FAULTED_SHARD_REASON`), runs killed by
         an outage or permanent failure land in
@@ -455,53 +443,22 @@ class PipelineExecutor:
                     f"negative arrival offset: {min(arrivals)}"
                 )
         forced = None if backend is None else _backends.get_backend(backend)
-        if forced is not None and not coalesce and forced.name != _ENGINE_BACKEND:
+        replay_forced = forced is not None and forced.name != _ENGINE_BACKEND
+        if observer is not None and replay_forced:
             raise SimulationError(
-                "coalesce=False pins the uncollapsed engine path; it "
-                f"cannot be combined with backend={backend!r}"
+                "a trace observer forces the uncollapsed engine DES; "
+                f"it cannot be combined with backend={backend!r}"
             )
         lane_log: dict[str, list[tuple[float, float]]] = {}
-        if observer is not None:
-            if forced is not None and forced.name != _ENGINE_BACKEND:
-                raise SimulationError(
-                    "a trace observer forces the uncollapsed engine DES; "
-                    f"it cannot be combined with backend={backend!r}"
-                )
 
-            def recording(lane, label, start, end, _user=observer):
-                lane_log.setdefault(lane, []).append((start, end))
-                _user(lane, label, start, end)
+        def record(lane, label, start, end):
+            lane_log.setdefault(lane, []).append((start, end))
+            if observer is not None:
+                observer(lane, label, start, end)
 
-            wall_start = perf_counter()
-            observer_failures: list = []
-            job_reports, makespan = self._execute_batch_engine(
-                table,
-                range(n),
-                recording,
-                arrivals,
-                fault_plan=faults,
-                failures=observer_failures,
-            )
-            # Observed wall time includes the caller's observer work.
-            timing = ShardTiming(
-                backend=_ENGINE_BACKEND,
-                wall_seconds=perf_counter() - wall_start,
-                n_jobs=n,
-                n_superjobs=0,
-                n_stages=self._shard_stage_count(table),
-                is_chain=self._is_chain_shard(table),
-            )
-            return BatchExecutionReport(
-                job_reports=tuple(job_reports),
-                makespan=makespan,
-                arrivals=None if arrivals is None else tuple(arrivals),
-                backend_jobs={_ENGINE_BACKEND: n},
-                lane_occupancy=self._freeze_lanes(lane_log),
-                backend_timings=(timing,),
-                failures=tuple(observer_failures),
-            )
-
-        shards = self._contention_shards(table) if shard else [range(n)]
+        shards = (
+            [range(n)] if observer is not None else self._contention_shards(table)
+        )
         # One shard covering the whole batch (the common case: every
         # job touches the same devices) needs no per-job split/scatter.
         whole = len(shards) == 1
@@ -520,30 +477,44 @@ class PipelineExecutor:
                 if whole or arrivals is None
                 else [arrivals[i] for i in indices]
             )
-            faulted = faults is not None and faults.affects(
-                self._shard_lane_names(shard_jobs)
-            )
+            shard_faults = None
+            if faults is not None:
+                lanes = {
+                    lane
+                    for _pipeline, schedule in shard_jobs.templates
+                    for lane in self.schedule_lanes(schedule)
+                }
+                if faults.affects(lanes):
+                    if replay_forced:
+                        reason = (
+                            _backends.FAULTED_SHARD_REASON
+                            if faults.affects_lethally(lanes)
+                            else _backends.SLOWDOWN_SHARD_REASON
+                        )
+                        raise SimulationError(
+                            f"backend {backend!r} cannot simulate a "
+                            f"{len(shard_jobs)}-job shard ({reason}) and "
+                            "no fallback is allowed"
+                        )
+                    shard_faults = faults
             wall_start = perf_counter()
-            if faulted:
-                chosen, shard_reports, shard_makespan, shard_groups = (
-                    self._simulate_faulted_shard(
-                        shard_jobs,
-                        indices,
-                        shard_arrivals,
-                        forced,
-                        lane_log,
-                        faults,
-                        failures,
-                    )
+            if observer is not None or shard_faults is not None:
+                # The generator engine is the only simulator that streams
+                # occupancies to an observer or understands fault windows;
+                # failures are keyed by batch-global submission index.
+                shard_reports, shard_makespan = self._execute_batch_engine(
+                    shard_jobs,
+                    indices,
+                    record,
+                    shard_arrivals,
+                    fault_plan=shard_faults,
+                    failures=failures,
                 )
+                chosen, shard_groups = _ENGINE_BACKEND, 0
             else:
                 chosen, shard_reports, shard_makespan, shard_groups = (
                     self._simulate_shard(
-                        shard_jobs,
-                        shard_arrivals,
-                        coalesce,
-                        forced,
-                        lane_log,
+                        shard_jobs, shard_arrivals, forced, lane_log
                     )
                 )
             timings.append(
@@ -572,75 +543,10 @@ class PipelineExecutor:
             n_shards=len(shards),
             n_superjobs=n_superjobs,
             backend_jobs=backend_jobs,
-            lane_occupancy=self._freeze_lanes(lane_log),
+            lane_occupancy={lane: tuple(ivs) for lane, ivs in lane_log.items()},
             backend_timings=tuple(timings),
             failures=tuple(failures),
         )
-
-    def _shard_lane_names(self, shard_jobs: JobTable) -> set[str]:
-        """All device/wire lane names the shard's schedules can occupy."""
-        lanes: set[str] = set()
-        for _pipeline, schedule in shard_jobs.templates:
-            lanes.update(self.schedule_lanes(schedule))
-        return lanes
-
-    def _simulate_faulted_shard(
-        self,
-        shard_jobs: JobTable,
-        indices: Sequence[int],
-        shard_arrivals: Sequence[float] | None,
-        forced,
-        lane_log: dict[str, list[tuple[float, float]]],
-        faults: "FaultPlan",
-        failures: list,
-    ) -> tuple[str, list[ExecutionReport], float, int]:
-        """Simulate a shard whose lanes carry fault-plan events.
-
-        Only the fault-aware generator engine understands outage and
-        slowdown windows, so every replay backend declines here —
-        forcing one raises with the named reason, mirroring
-        :meth:`_simulate_shard`'s refusal style.  The reason
-        distinguishes the two shapes: a shard whose lanes carry any
-        job-killing event (outage window, permanent death) declines
-        with :data:`~repro.core.backends.FAULTED_SHARD_REASON`; a
-        slowdown-only shard — nothing dies, services just inflate —
-        declines with
-        :data:`~repro.core.backends.SLOWDOWN_SHARD_REASON` (the FIFO
-        hop-cascade equivalence does not carry over to inflated
-        services).  Run failures are appended to ``failures`` keyed by
-        the *batch-global* submission index from ``indices``.
-        """
-        if forced is not None and forced.name != _ENGINE_BACKEND:
-            reason = (
-                _backends.FAULTED_SHARD_REASON
-                if faults.affects_lethally(self._shard_lane_names(shard_jobs))
-                else _backends.SLOWDOWN_SHARD_REASON
-            )
-            raise SimulationError(
-                f"backend {forced.name!r} cannot simulate a "
-                f"{len(shard_jobs)}-job shard "
-                f"({reason}) and no fallback "
-                "is allowed"
-            )
-
-        def record(lane, _label, start, end):
-            lane_log.setdefault(lane, []).append((start, end))
-
-        shard_reports, shard_makespan = self._execute_batch_engine(
-            shard_jobs,
-            list(indices),
-            record,
-            shard_arrivals,
-            fault_plan=faults,
-            failures=failures,
-        )
-        return _ENGINE_BACKEND, shard_reports, shard_makespan, 0
-
-    @staticmethod
-    def _freeze_lanes(
-        lane_log: dict[str, list[tuple[float, float]]]
-    ) -> dict[str, tuple[tuple[float, float], ...]]:
-        return {lane: tuple(ivs) for lane, ivs in lane_log.items()}
 
     @staticmethod
     def _shard_stage_count(shard_jobs: JobTable) -> int:
@@ -714,7 +620,6 @@ class PipelineExecutor:
         self,
         shard_jobs: JobTable,
         shard_arrivals: list[float] | None,
-        coalesce: bool,
         forced: "_backends.SimulationBackend | None",
         lane_log: dict[str, list[tuple[float, float]]],
     ) -> tuple[str, list[ExecutionReport], float, int]:
@@ -724,22 +629,18 @@ class PipelineExecutor:
         capability order (vector replay, chain replay, DAG replay,
         engine) and takes the first that supports the shard and does
         not decline it; the engine backend supports everything, so the
-        walk always terminates.  ``coalesce=False``
-        pins the engine (the uncollapsed reference semantics);
-        ``forced`` pins one named backend and raises — naming the
-        backend's reason — when it cannot simulate the shard.
+        walk always terminates.  ``forced`` pins one named backend and
+        raises — naming the backend's reason — when it cannot simulate
+        the shard.
         ``lane_log`` collects the shard's per-lane occupancy intervals
         (shards touch disjoint resource sets, so the per-shard entries
         never interleave).  Returns the chosen backend's name, the
         per-job reports in shard order, the shard makespan, and the
         super-job count.
         """
-        if forced is not None:
-            candidates: tuple = (forced,)
-        elif coalesce:
-            candidates = _backends.iter_backends()
-        else:
-            candidates = (_backends.get_backend(_ENGINE_BACKEND),)
+        candidates = (
+            _backends.iter_backends() if forced is None else (forced,)
+        )
         for candidate in candidates:
             if not candidate.supports(self, shard_jobs):
                 continue

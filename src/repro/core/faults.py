@@ -85,8 +85,8 @@ def _normalize_outages(
                 f"outage entries must be (lane, start, end) triples, got {entry!r}"
             ) from exc
         lane = str(lane)
-        start = float(start)
-        end = float(end)
+        start = finite_float(start, f"outage start on lane {lane!r}")
+        end = finite_float(end, f"outage end on lane {lane!r}")
         if not (start >= 0.0 and end > start):
             raise ConfigError(
                 f"outage window on lane {lane!r} must satisfy 0 <= start < end, "
@@ -133,10 +133,13 @@ class SlowdownWindow:
     factor: float
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "lane", str(self.lane))
-        object.__setattr__(self, "start", float(self.start))
-        object.__setattr__(self, "end", float(self.end))
-        object.__setattr__(self, "factor", float(self.factor))
+        lane = str(self.lane)
+        object.__setattr__(self, "lane", lane)
+        for name in ("start", "end", "factor"):
+            value = finite_float(
+                getattr(self, name), f"slowdown {name} on lane {lane!r}"
+            )
+            object.__setattr__(self, name, value)
         if not (self.start >= 0.0 and self.end > self.start):
             raise ConfigError(
                 f"slowdown window on lane {self.lane!r} must satisfy "
@@ -247,7 +250,9 @@ class FaultPlan:
                     f"permanent entries must be (lane, dead_at) pairs, got {entry!r}"
                 ) from exc
             lane = str(lane)
-            dead_at = float(dead_at)
+            dead_at = finite_float(
+                dead_at, f"permanent failure time for lane {lane!r}"
+            )
             if lane.startswith(_WIRE_PREFIX):
                 raise ConfigError(
                     f"permanent failure on wire lane {lane!r} is not supported: "
@@ -729,6 +734,23 @@ class ResilienceReport:
         }
 
 
+def _drawer_clocks(
+    spacing, mttr, horizon, spacing_name: str = "mtbf"
+) -> tuple[float, float, float]:
+    """A drawer's event spacing (``mtbf``, or a shock ``rate``), repair
+    time and horizon as finite positive floats.  An infinite horizon
+    would draw forever, and an infinite mean time makes the drawers'
+    exponential rate ``1/inf`` zero."""
+    clocks = []
+    named = ((spacing, spacing_name), (mttr, "mttr"), (horizon, "horizon"))
+    for value, name in named:
+        number = finite_float(value, name)
+        if not number > 0.0:
+            raise ConfigError(f"{name} must be > 0, got {value!r}")
+        clocks.append(number)
+    return tuple(clocks)
+
+
 def poisson_fault_plan(
     lanes,
     mtbf: float,
@@ -745,12 +767,7 @@ def poisson_fault_plan(
     (optional) additionally kills each *device* lane permanently at its
     first outage start past that time.  Deterministic given ``seed``.
     """
-    if not mtbf > 0.0:
-        raise ConfigError(f"mtbf must be > 0, got {mtbf!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    mtbf, mttr, horizon = _drawer_clocks(mtbf, mttr, horizon)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
     permanent: list[tuple[str, float]] = []
@@ -825,12 +842,7 @@ def shock_fault_plan(
         plan = plan.merge(shock_fault_plan(
             [("ndp", "link:cpu-ndp")], rate=0.05, mttr=2, horizon=60))
     """
-    if not rate > 0.0:
-        raise ConfigError(f"shock rate must be > 0, got {rate!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    rate, mttr, horizon = _drawer_clocks(rate, mttr, horizon, "shock rate")
     group_list = _normalize_groups(groups)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
@@ -868,12 +880,8 @@ def slowdown_fault_plan(
     and nothing is killed.  Deterministic given ``seed``; compose with
     outage plans via :meth:`FaultPlan.merge`.
     """
-    if not mtbf > 0.0:
-        raise ConfigError(f"mtbf must be > 0, got {mtbf!r}")
-    if not mttr > 0.0:
-        raise ConfigError(f"mttr must be > 0, got {mttr!r}")
-    if not horizon > 0.0:
-        raise ConfigError(f"horizon must be > 0, got {horizon!r}")
+    mtbf, mttr, horizon = _drawer_clocks(mtbf, mttr, horizon)
+    factor = finite_float(factor, "slowdown factor")
     if not factor > 1.0:
         raise ConfigError(
             f"slowdown factor must be > 1.0 (an inflation), got {factor!r}"

@@ -368,6 +368,32 @@ class NdftBatchResult:
         )
 
 
+#: Every global a :meth:`NdftFramework.save_caches` snapshot names
+#: (with or without ``enable_gpu``), by module; containers, numbers and
+#: strings need none.  :class:`_SnapshotUnpickler` refuses anything else.
+_SNAPSHOT_GLOBALS = {
+    "repro.core.executor": {"ExecutionReport"},
+    "repro.core.sca": {"ScaReport"},
+    "repro.core.scheduler": {"Placement", "Schedule", "SchedulingPolicy"},
+    "repro.core.signature": {"JobSignature"},
+    "repro.hw.config": {"CacheConfig", "CpuConfig", "NdpConfig", "SystemConfig"},
+    "repro.hw.timing": {"PhaseTime"},
+}
+
+
+class _SnapshotUnpickler(pickle.Unpickler):
+    """Unpickles only the types a snapshot holds, so a tampered file
+    cannot name a callable (``os.system``, ...) for the load to run."""
+
+    def find_class(self, module: str, name: str):
+        if name not in _SNAPSHOT_GLOBALS.get(module, ()):
+            raise ConfigError(
+                f"refusing cache snapshot: it references {module}.{name}, "
+                "which no snapshot contains"
+            )
+        return super().find_class(module, name)
+
+
 def _batch_item(position: int, entry) -> ProblemSize | Pipeline:
     """Validate one batch entry: a prebuilt :class:`Pipeline` or a
     :class:`ProblemSize` as is, an atom count as its problem.  Atom
@@ -776,13 +802,14 @@ class NdftFramework:
         older versions wrote) are ignored, so their snapshots still load.
 
         Trust caveat: the snapshot is a pickle, deserialized *before*
-        the format/fingerprint checks can reject it — loading executes
-        whatever the file encodes, so only load snapshots written by a
-        process you trust (the intended use: this service's own
-        :meth:`save_caches` output on local disk).  A truncated or
-        corrupt file (half-written snapshot, disk error) raises
-        :class:`~repro.errors.ConfigError` like every other rejected
-        snapshot, never a raw ``EOFError``/``UnpicklingError``."""
+        the format/fingerprint checks can reject it.  The unpickler
+        admits only the types :meth:`save_caches` writes, so a file
+        naming any other global (``os.system``, ...) raises
+        :class:`~repro.errors.ConfigError` before anything runs; the
+        admitted types can still carry wrong numbers, so load only this
+        service's own output.  A truncated or corrupt file raises
+        :class:`~repro.errors.ConfigError` too, never a raw
+        ``EOFError``/``UnpicklingError``."""
         payload = self._read_snapshot(path, "load")
         loaded = 0
         for name, cache in self._snapshot_caches().items():
@@ -819,7 +846,7 @@ class NdftFramework:
         path = Path(path)
         try:
             with path.open("rb") as handle:
-                payload = pickle.load(handle)
+                payload = _SnapshotUnpickler(handle).load()
         except (EOFError, pickle.UnpicklingError, AttributeError) as exc:
             raise ConfigError(
                 f"{path} is not a readable cache snapshot (truncated or "
@@ -974,8 +1001,6 @@ class NdftFramework:
         batch: Sequence[int | ProblemSize | Pipeline],
         pipeline_builder: Callable[[ProblemSize], Pipeline] | None = None,
         arrivals: Sequence[float] | None = None,
-        coalesce: bool = True,
-        shard: bool = True,
         backend: str | None = None,
         admission: AdmissionPolicy | None = None,
         faults: FaultPlan | None = None,
@@ -1005,13 +1030,11 @@ class NdftFramework:
         that are not a ``Pipeline``, a ``ProblemSize`` or a non-bool
         integer (``np.int64`` included), and non-finite ``arrivals``,
         raise :class:`~repro.errors.ConfigError` naming the index.
-        ``coalesce``/``shard`` control the executor's scale-out fast
-        path (signature-coalesced super-jobs, contention-sharded
-        engines); ``backend`` forces one named simulation backend for
-        every shard (:mod:`repro.core.backends`; by default each shard
-        takes the first backend in the registry's static capability
-        order that accepts it).  Results are bit-identical whichever
-        backend simulates.
+        ``backend`` forces one named simulation backend for every shard
+        (:mod:`repro.core.backends`; by default each shard takes the
+        first backend in the registry's static capability order that
+        accepts it).  Results are bit-identical whichever backend
+        simulates.
 
         ``admission`` applies an SLO-driven
         :class:`~repro.core.arrivals.AdmissionPolicy` to the open queue
@@ -1097,8 +1120,6 @@ class NdftFramework:
                 solo_times,
                 faults,
                 retry or RetryPolicy(),
-                coalesce,
-                shard,
                 backend,
                 admission_result,
             )
@@ -1106,8 +1127,6 @@ class NdftFramework:
         batch_report = self.executor.execute_many(
             groups.table(),
             arrivals=arrivals,
-            coalesce=coalesce,
-            shard=shard,
             backend=backend,
         )
         self._count_backends(batch_report)
@@ -1244,8 +1263,6 @@ class NdftFramework:
         solo_times: tuple[float, ...],
         faults: FaultPlan,
         retry: RetryPolicy,
-        coalesce: bool,
-        shard: bool,
         backend: str | None,
         admission_result,
     ) -> NdftBatchResult:
@@ -1359,8 +1376,6 @@ class NdftFramework:
             report = self.executor.execute_many(
                 sim_jobs,
                 arrivals=sim_arrivals,
-                coalesce=coalesce,
-                shard=shard,
                 backend=backend,
                 faults=faults,
             )

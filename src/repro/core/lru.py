@@ -13,6 +13,8 @@ from __future__ import annotations
 
 from typing import Any, Callable, Hashable, Sequence
 
+from repro.errors import positive_int
+
 
 class LruCache:
     """A dict with LRU eviction and telemetry counters.
@@ -27,8 +29,8 @@ class LruCache:
     __slots__ = ("maxsize", "hits", "misses", "evictions", "_data")
 
     def __init__(self, maxsize: int | None = None):
-        if maxsize is not None and maxsize < 1:
-            raise ValueError(f"maxsize must be >= 1 or None, got {maxsize}")
+        if maxsize is not None:
+            maxsize = positive_int(maxsize, "cache size")
         self.maxsize = maxsize
         self.hits = 0
         self.misses = 0

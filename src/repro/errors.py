@@ -7,6 +7,7 @@ distinguish library failures from programming errors.
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable
 
 
@@ -85,3 +86,18 @@ def finite_floats(
         for index, value in enumerate(values):
             finite_float(value, f"{what} {index}", error)
     return floats
+
+
+def positive_int(value, what: str) -> int:
+    """``value`` as an int >= 1; raises :class:`ConfigError` naming
+    ``what`` for bools, floats and anything else :func:`operator.index`
+    rejects (``np.int64(8)`` passes as ``8``), and for values below 1."""
+    if not isinstance(value, bool):
+        try:
+            number = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if number >= 1:
+                return number
+    raise ConfigError(f"{what} must be an integer >= 1, got {value!r}")

@@ -251,7 +251,9 @@ class TestSlotsRule:
 
 
 class TestErrorDisciplineRule:
-    @pytest.mark.parametrize("module", ["repro.fleet.pool", "repro.core.arrivals"])
+    @pytest.mark.parametrize(
+        "module", ["repro.fleet.pool", "repro.core.arrivals", "repro.core.lru"]
+    )
     def test_value_error_fires(self, config, module):
         bad = make_module(
             module,
@@ -274,7 +276,7 @@ class TestErrorDisciplineRule:
 
     def test_out_of_scope_module_passes(self, config):
         other = make_module(
-            "repro.core.ir", "def f():\n    raise ValueError('fine here')\n"
+            "repro.hw.engine", "def f():\n    raise ValueError('fine here')\n"
         )
         assert run_rule(ErrorDisciplineRule(config), other) == []
 

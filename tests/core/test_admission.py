@@ -44,6 +44,11 @@ class TestAdmissionPolicyValidation:
         with pytest.raises(ConfigError):
             AdmissionPolicy(max_queue_depth=0)
 
+    @pytest.mark.parametrize("depth", [2.5, True, "4"])
+    def test_rejects_non_integer_queue_depth(self, depth):
+        with pytest.raises(ConfigError, match="max_queue_depth"):
+            AdmissionPolicy(max_queue_depth=depth)
+
     def test_json_roundtrip_shape(self):
         policy = AdmissionPolicy(slo_p99=2.0, max_queue_depth=8)
         assert policy.to_json_dict() == {

@@ -7,19 +7,34 @@ arrival offsets ``random.Random(seed)`` produced under the old
 one-draw-per-job loop.  The numpy cumulative-sum sampler must reproduce
 those offsets to the last bit — for the committed seeds and for any
 other seed — or every committed p50/p99/availability number silently
-stops being reproducible.  The retired loop survives as
+stops being reproducible.  The retired loop survives here as
 ``_poisson_arrivals_loop``, the regression oracle.
 """
 
 import json
+import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from repro.core.arrivals import _poisson_arrivals_loop, poisson_arrivals
+from repro.core.arrivals import poisson_arrivals
 from repro.errors import ConfigError
 
 REPO_ROOT = Path(__file__).resolve().parents[2]
+
+
+def _poisson_arrivals_loop(
+    n_jobs: int, rate: float, seed: int = 0
+) -> tuple[float, ...]:
+    """The original scalar sampler: one ``expovariate`` draw per job."""
+    generator = random.Random(seed)
+    now = 0.0
+    offsets = []
+    for _ in range(n_jobs):
+        now += generator.expovariate(rate)
+        offsets.append(now)
+    return tuple(offsets)
 
 #: First offsets of the committed arrival process (seed 0, rate 2.0) —
 #: the stream both committed BENCH files were measured under, frozen as
@@ -96,6 +111,19 @@ class TestContract:
             poisson_arrivals(4, 0.0)
         with pytest.raises(ConfigError):
             poisson_arrivals(4, -1.0)
+
+    @pytest.mark.parametrize("n_jobs", [2.5, True, "3", None])
+    def test_non_integer_job_count_rejected(self, n_jobs):
+        with pytest.raises(ConfigError, match="n_jobs"):
+            poisson_arrivals(n_jobs, 2.0)
+
+    def test_integer_like_job_count_accepted(self):
+        assert poisson_arrivals(np.int64(5), 2.0) == poisson_arrivals(5, 2.0)
+
+    @pytest.mark.parametrize("seed", [None, 1.5, "7"])
+    def test_non_integer_seed_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            poisson_arrivals(4, 2.0, seed=seed)
 
     def test_offsets_strictly_positive_and_increasing(self):
         offsets = poisson_arrivals(500, 5.0, seed=11)

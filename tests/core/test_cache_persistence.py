@@ -231,6 +231,30 @@ class TestFingerprintRefusal:
         with pytest.raises(ConfigError, match="truncated or corrupt"):
             NdftFramework().load_caches(path)
 
+    def test_snapshot_naming_foreign_callable_refused(self, tmp_path):
+        """A tampered snapshot whose payload reduces to a call of some
+        other global is refused before the call runs."""
+        import os
+
+        target = tmp_path / "pwned"
+
+        class Payload:
+            def __reduce__(self):
+                return (os.makedirs, (str(target),))
+
+        path = tmp_path / "tampered.pkl"
+        path.write_bytes(pickle.dumps({"format": 1, "caches": Payload()}))
+        for action in ("load_caches", "merge_caches"):
+            with pytest.raises(ConfigError, match="makedirs"):
+                getattr(NdftFramework(), action)(path)
+        assert not target.exists()
+
+    def test_gpu_snapshot_round_trips(self, tmp_path):
+        saver = NdftFramework(enable_gpu=True)
+        saver.run_many([64, 512, 1024])
+        path = saver.save_caches(tmp_path / "gpu.pkl")
+        assert NdftFramework(enable_gpu=True).load_caches(path) > 0
+
     def test_fingerprints_equal_across_fresh_frameworks(self):
         assert (
             NdftFramework().cache_fingerprint()

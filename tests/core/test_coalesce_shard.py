@@ -1,12 +1,14 @@
 """Scale-out batch DES: coalescing/sharding equivalence and arrivals.
 
 The serving fast path (signature-coalesced super-jobs replayed FIFO,
-contention-sharded engines) is an optimization, never an approximation:
-every per-job report and the makespan must match the uncollapsed,
-unsharded generator DES bit for bit — property-checked here over random
-chain/DAG batches, with and without arrival processes.  Any observer
-forces the uncollapsed DES, which is also how the reference results are
-obtained.
+contention-sharded simulations) is an optimization, never an
+approximation: every per-job report and the makespan must match one
+uncollapsed, unsharded generator engine over the whole batch bit for
+bit — property-checked here over random chain/DAG batches, with and
+without arrival processes.  Any observer runs the batch as that one
+shared engine, which is how the reference results are obtained
+(``observer=lambda *_: None``); ``backend="engine"`` is the sharded
+but uncoalesced engine reference.
 """
 
 import random
@@ -51,8 +53,9 @@ def _random_entries(rng, n_jobs, dag_fraction=0.25):
 class TestCoalesceShardEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
     def test_random_batches_identical_on_vs_off(self, framework, seed):
-        """Random mixed chain/DAG batches: fast path on vs off vs the
-        observer-forced engine — every float identical."""
+        """Random mixed chain/DAG batches: default fast path vs the
+        forced engine backend vs the observer-forced shared engine —
+        every float identical."""
         rng = random.Random(seed)
         jobs = _jobs(framework, _random_entries(rng, rng.randint(2, 32)))
         arrivals = None
@@ -60,7 +63,7 @@ class TestCoalesceShardEquivalence:
             arrivals = [round(rng.random() * 10, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         observed = framework.executor.execute_many(
             jobs, arrivals=arrivals, observer=lambda *args: None
@@ -72,7 +75,7 @@ class TestCoalesceShardEquivalence:
         jobs = _jobs(framework, [(512, build_pipeline)] * 24)
         fast = framework.executor.execute_many(jobs)
         slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
+            jobs, observer=lambda *_: None
         )
         assert fast.n_superjobs == 1
         assert fast.job_reports == slow.job_reports
@@ -103,7 +106,7 @@ class TestCoalesceShardEquivalence:
         # vector_replay first, and this test pins the DAG replay.
         fast = framework.executor.execute_many(jobs, backend="dag_replay")
         slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
+            jobs, observer=lambda *_: None
         )
         # Branching jobs do not need the generator engine: the DAG
         # replay coalesces the identical replicas into one super-job.
@@ -115,7 +118,7 @@ class TestCoalesceShardEquivalence:
     def test_run_many_toggles_identical(self):
         sizes = [64, 1024, 64, 512, 128, 64]
         fast = NdftFramework().run_many(sizes)
-        slow = NdftFramework().run_many(sizes, coalesce=False, shard=False)
+        slow = NdftFramework().run_many(sizes, backend="engine")
         assert fast.makespan == slow.makespan
         assert fast.solo_times == slow.solo_times
         assert (
@@ -223,7 +226,7 @@ class TestExactTimeTies:
         )
         jobs = [(x, x_schedule), (y, y_schedule)]
         fast = executor.execute_many(jobs)
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, observer=lambda *_: None)
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
         # And the tie genuinely resolved in Y's favor (engine semantics).
@@ -261,7 +264,7 @@ class TestExactTimeTies:
         for arrivals in (None, [0.0, 1.0] * 4):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, observer=lambda *_: None
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -281,7 +284,7 @@ class TestContentionSharding:
         jobs = [(pipeline, cpu_only), (pipeline, ndp_only)] * 3
         fast = framework.executor.execute_many(jobs)
         slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
+            jobs, observer=lambda *_: None
         )
         assert fast.n_shards == 2
         assert fast.n_superjobs == 2  # one super-job per shard

@@ -56,8 +56,8 @@ class TestDagReplayEquivalence:
     @pytest.mark.parametrize("seed", [0, 1, 2, 3, 4, 5])
     def test_random_kpoint_batches_identical(self, framework, seed):
         """Random k-point batches (mixed fan widths and sizes, sometimes
-        an open queue): replay vs the uncollapsed engine vs the
-        observer-forced engine — every float identical."""
+        an open queue): replay vs the forced engine backend vs the
+        observer-forced shared engine — every float identical."""
         rng = random.Random(seed)
         entries = [
             (rng.choice(SIZES), _kpoint_builder(rng.choice((2, 3, 4))))
@@ -69,7 +69,7 @@ class TestDagReplayEquivalence:
             arrivals = [round(rng.random() * 10, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, backend="engine"
         )
         observed = framework.executor.execute_many(
             jobs, arrivals=arrivals, observer=lambda *args: None
@@ -96,7 +96,7 @@ class TestDagReplayEquivalence:
             arrivals = [round(rng.random() * 2, 3) for _ in jobs]
         fast = framework.executor.execute_many(jobs, arrivals=arrivals)
         slow = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, observer=lambda *_: None
         )
         assert fast.makespan == slow.makespan
         assert fast.job_reports == slow.job_reports
@@ -110,7 +110,7 @@ class TestDagReplayEquivalence:
         )
         fast = framework.executor.execute_many(jobs)
         slow = framework.executor.execute_many(
-            jobs, coalesce=False, shard=False
+            jobs, observer=lambda *_: None
         )
         assert fast.backend_jobs == {"dag_replay": len(jobs)}
         assert fast.n_superjobs == 2
@@ -124,8 +124,7 @@ class TestDagReplayEquivalence:
         slow = NdftFramework().run_many(
             sizes,
             pipeline_builder=build_kpoint_pipeline,
-            coalesce=False,
-            shard=False,
+            backend="engine",
         )
         assert fast.makespan == slow.makespan
         assert fast.solo_times == slow.solo_times
@@ -260,7 +259,7 @@ class TestExactTimeTiesOnFanIn:
         executor = PipelineExecutor(cost_model=cost_model)
         jobs = [_diamond_tie_job("y", cost_model)]
         fast = executor.execute_many(jobs, backend="dag_replay")
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, observer=lambda *_: None)
         assert fast.backend_jobs == {"dag_replay": 1}
         assert fast.job_reports == slow.job_reports
         assert fast.makespan == slow.makespan
@@ -291,7 +290,7 @@ class TestExactTimeTiesOnFanIn:
         for arrivals in (None, [0.0, 1.0] * 4, [0.5] * 8):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, observer=lambda *_: None
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -304,7 +303,7 @@ class TestExactTimeTiesOnFanIn:
                 jobs, arrivals=arrivals, backend="dag_replay"
             )
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, observer=lambda *_: None
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -343,7 +342,7 @@ class TestExactTimeTiesOnFanIn:
         for arrivals in (None, [0.0, 1.0, 2.0] * 2):
             fast = executor.execute_many(jobs, arrivals=arrivals)
             slow = executor.execute_many(
-                jobs, arrivals=arrivals, coalesce=False, shard=False
+                jobs, arrivals=arrivals, observer=lambda *_: None
             )
             assert fast.job_reports == slow.job_reports
             assert fast.makespan == slow.makespan
@@ -492,7 +491,7 @@ class TestBackendFallbacks:
         )
         jobs = [(pipeline, schedule)] * 3
         fast = executor.execute_many(jobs)
-        slow = executor.execute_many(jobs, coalesce=False, shard=False)
+        slow = executor.execute_many(jobs, observer=lambda *_: None)
         assert fast.backend_jobs == {"engine": 3}
         assert fast.n_superjobs == 0
         assert fast.job_reports == slow.job_reports
@@ -535,20 +534,6 @@ class TestBackendRegistry:
             framework.executor.execute_many(
                 jobs, backend="dag_replay", observer=lambda *args: None
             )
-
-    def test_forced_nonengine_backend_rejects_coalesce_off(self, framework):
-        """coalesce=False pins the uncollapsed engine semantics; forcing
-        a replay (which coalesces by construction) contradicts it."""
-        jobs = _jobs(framework, [(64, build_pipeline)] * 2)
-        with pytest.raises(SimulationError):
-            framework.executor.execute_many(
-                jobs, backend="chain_replay", coalesce=False
-            )
-        # Forcing the engine is consistent with coalesce=False.
-        report = framework.executor.execute_many(
-            jobs, backend="engine", coalesce=False
-        )
-        assert report.backend_jobs == {"engine": 2}
 
     def test_framework_backend_stats_accumulate(self):
         framework = NdftFramework()

@@ -154,6 +154,41 @@ class TestFaultPlanConstruction:
         with pytest.raises(ConfigError, match="0 <= start < end"):
             FaultPlan(outages=(("ndp", -1.0, 2.0),))
 
+    @pytest.mark.parametrize(
+        "kwargs",
+        [
+            # An infinite window would report inf completion times at
+            # availability 1.0; a NaN death never fires.
+            dict(outages=(("ndp", 0.0, float("inf")),)),
+            dict(outages=(("ndp", float("nan"), 1.0),)),
+            dict(outages=(("ndp", "x", 1.0),)),
+            dict(outages=(("ndp", None, 1.0),)),
+            dict(permanent=(("ndp", float("nan")),)),
+            dict(permanent=(("ndp", float("inf")),)),
+            dict(permanent=(("ndp", "soon"),)),
+        ],
+    )
+    def test_nonfinite_or_nonnumeric_times_rejected(self, kwargs):
+        with pytest.raises(ConfigError, match="finite number"):
+            FaultPlan(**kwargs)
+
+    @pytest.mark.parametrize(
+        "mtbf, mttr, horizon",
+        [
+            # An infinite horizon used to draw forever; an infinite
+            # mean time divided by zero inside expovariate.
+            (1.0, 1.0, float("inf")),
+            (float("inf"), 1.0, 10.0),
+            (1.0, float("inf"), 10.0),
+            (float("nan"), 1.0, 10.0),
+            ("x", 1.0, 10.0),
+            (1.0, None, 10.0),
+        ],
+    )
+    def test_poisson_plan_rejects_nonfinite_clocks(self, mtbf, mttr, horizon):
+        with pytest.raises(ConfigError, match="finite number"):
+            poisson_fault_plan(["ndp"], mtbf, mttr, horizon, 0)
+
     def test_permanent_wire_failure_rejected(self):
         with pytest.raises(ConfigError, match="partitions the machine"):
             FaultPlan(permanent=(("link:cpu-ndp", 1.0),))
@@ -341,6 +376,34 @@ class TestDeterminism:
         forced = framework.run_many(SIZES, faults=plan, backend="engine")
         assert auto.resilience.attempts == forced.resilience.attempts
         assert _identical_batches(auto.batch_report, forced.batch_report)
+
+    def test_observer_run_matches_default_routing(self, framework):
+        """An observer runs the batch as one shard on the engine; under
+        a fault plan — touching the batch's lanes or not — it reports
+        the same floats and failures as the default shard routing, and
+        the observer sees every job by its batch index."""
+        jobs = _jobs(framework, SIZES * 2)
+        _healthy, t0, t1 = _ndp_window(framework, SIZES * 2)
+        for plan, kills in (
+            (FaultPlan(outages=(("ndp", t0, t1),)), True),
+            (FaultPlan(outages=(("gpu", 0.0, 1e9),)), False),
+        ):
+            labels = []
+            observed = framework.executor.execute_many(
+                jobs,
+                faults=plan,
+                observer=lambda _lane, label, _s, _e: labels.append(label),
+            )
+            default = framework.executor.execute_many(jobs, faults=plan)
+            assert _identical_batches(observed, default)
+            assert observed.failures == default.failures
+            assert bool(observed.failures) is kills
+            assert observed.backend_jobs == {"engine": len(jobs)}
+            assert {label.split(":")[0] for label in labels} == {
+                f"job{i}" for i in range(len(jobs))
+            }
+        # The untouched-lane plan leaves the default route on a replay.
+        assert "engine" not in default.backend_jobs
 
     def test_fresh_framework_reproduces_report(self):
         plan = poisson_fault_plan(["ndp"], mtbf=0.5, mttr=0.1, horizon=10.0, seed=7)

@@ -113,6 +113,15 @@ class TestShockFaultPlan:
             shock_fault_plan(["ndp"], rate=1.0, mttr=1.0, horizon=0.0)
         with pytest.raises(ConfigError):
             shock_fault_plan([], rate=1.0, mttr=1.0, horizon=10.0)
+        for rate, mttr, horizon, field in (
+            (1.0, 1.0, float("inf"), "horizon"),  # used to draw forever
+            (float("inf"), 1.0, 10.0, "rate"),
+            (1.0, float("inf"), 10.0, "mttr"),
+            (float("nan"), 1.0, 10.0, "rate"),
+            (1.0, "x", 10.0, "mttr"),
+        ):
+            with pytest.raises(ConfigError, match=field):
+                shock_fault_plan([["ndp"]], rate, mttr, horizon, 0)
 
     def test_merge_composes_with_poisson_noise(self):
         noise = poisson_fault_plan(
@@ -179,6 +188,26 @@ class TestSlowdownWindows:
             FaultPlan(
                 slowdowns=(("ndp", 0.0, 2.0, 2.0), ("ndp", 1.0, 3.0, 4.0))
             )
+        inf, nan = float("inf"), float("nan")
+        for window in (
+            ("ndp", 0.0, inf, 2.0),
+            ("ndp", nan, 1.0, 2.0),
+            ("ndp", 0.0, 1.0, inf),
+            ("ndp", 0.0, 1.0, nan),
+            ("ndp", "x", 1.0, 2.0),
+            ("ndp", 0.0, None, 2.0),
+        ):
+            with pytest.raises(ConfigError, match="finite number"):
+                SlowdownWindow(*window)
+        for mtbf, mttr, horizon, factor in (
+            (1.0, 1.0, inf, 2.0),
+            (inf, 1.0, 10.0, 2.0),
+            (1.0, inf, 10.0, 2.0),
+            (1.0, 1.0, 10.0, inf),
+            (1.0, 1.0, 10.0, "x"),
+        ):
+            with pytest.raises(ConfigError, match="finite number"):
+                slowdown_fault_plan(["ndp"], mtbf, mttr, horizon, factor)
 
     def test_plan_queries(self):
         plan = FaultPlan(
@@ -590,6 +619,22 @@ class TestCliFaultSetup:
         assert plan.shock_groups == (framework.fault_lanes(),)
         assert plan.slowdowns
         assert retry.checkpoint is True
+
+    @pytest.mark.parametrize(
+        "overrides",
+        [
+            # argparse's type=float accepts "inf" and "nan".
+            dict(mtbf=10.0, fault_horizon=float("inf")),
+            dict(mtbf=float("inf")),
+            dict(mtbf=10.0, mttr=float("nan")),
+            dict(shock_rate=float("inf")),
+            dict(shock_rate=0.1, fault_horizon=float("inf")),
+            dict(slowdown_factor=float("inf")),
+        ],
+    )
+    def test_nonfinite_flags_rejected(self, framework, overrides):
+        with pytest.raises(ConfigError, match="finite number"):
+            _fault_setup(self._args(**overrides), framework)
 
     def test_checkpoint_without_faults_rejected(self, framework):
         with pytest.raises(ConfigError, match="--checkpoint"):

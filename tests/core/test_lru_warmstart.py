@@ -7,6 +7,7 @@ from repro.core.lru import LruCache
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.core.scheduler import SchedulingPolicy
 from repro.dft.workload import problem_size
+from repro.errors import ConfigError
 
 
 class TestLruCache:
@@ -55,8 +56,13 @@ class TestLruCache:
         assert len(cache) == 1
 
     def test_rejects_nonpositive_maxsize(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ConfigError):
             LruCache(maxsize=0)
+
+    @pytest.mark.parametrize("cache_size", [0, -1, 2.5, True])
+    def test_framework_rejects_bad_cache_size(self, cache_size):
+        with pytest.raises(ConfigError, match="cache size"):
+            NdftFramework(cache_size=cache_size)
 
 
 class TestBoundedFrameworkCaches:

@@ -113,7 +113,7 @@ class TestVectorReplayEquivalence:
             jobs, arrivals=arrivals, backend="vector_replay"
         )
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, observer=lambda *_: None
         )
         assert _identical(vector, engine)
 
@@ -130,7 +130,7 @@ class TestVectorReplayEquivalence:
             )
         auto = framework.executor.execute_many(jobs, arrivals=arrivals)
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, observer=lambda *_: None
         )
         assert _identical(auto, engine)
 
@@ -142,7 +142,7 @@ class TestVectorReplayEquivalence:
         arrivals = [0.0] * 40 + [1.0] * 40
         auto = framework.executor.execute_many(jobs, arrivals=arrivals)
         engine = framework.executor.execute_many(
-            jobs, arrivals=arrivals, coalesce=False, shard=False
+            jobs, arrivals=arrivals, observer=lambda *_: None
         )
         assert _identical(auto, engine)
 
