@@ -38,13 +38,12 @@ from __future__ import annotations
 
 import heapq
 import math
-import operator
 from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
 
-from repro.errors import ConfigError, finite_float, positive_int
+from repro.errors import ConfigError, finite_float, integer_seed, positive_int
 
 # Re-exported from the foundation layer so existing callers keep this
 # import path; the implementation lives in repro.stats, low enough for
@@ -95,13 +94,10 @@ def poisson_arrivals(
     exponential transform applies libm's log to each draw, exactly as
     ``Random.expovariate`` does.  A non-finite ``rate``, an ``n_jobs``
     that is not an integer >= 1 and a ``seed`` that is not an integer
-    raise :class:`~repro.errors.ConfigError`.
+    (or is a bool) raise :class:`~repro.errors.ConfigError`.
     """
     n_jobs = positive_int(n_jobs, "n_jobs")
-    try:
-        seed = operator.index(seed)
-    except TypeError:
-        raise ConfigError(f"seed must be an integer, got {seed!r}") from None
+    seed = integer_seed(seed)
     rate = finite_float(rate, "arrival rate")
     if rate <= 0:
         raise ConfigError(f"arrival rate must be > 0, got {rate}")
@@ -160,9 +156,10 @@ class AdmissionPolicy:
         # A NaN SLO compares false against every prediction, so it
         # would silently admit everything.
         if self.slo_p99 is not None:
-            finite_float(self.slo_p99, "slo_p99")
-        if self.slo_p99 is not None and self.slo_p99 <= 0:
-            raise ConfigError(f"slo_p99 must be > 0, got {self.slo_p99}")
+            slo = finite_float(self.slo_p99, "slo_p99")
+            if slo <= 0:
+                raise ConfigError(f"slo_p99 must be > 0, got {self.slo_p99}")
+            object.__setattr__(self, "slo_p99", slo)
         if self.max_queue_depth is not None:
             object.__setattr__(
                 self,

@@ -52,7 +52,7 @@ import hashlib
 import random
 from dataclasses import dataclass, field
 
-from repro.errors import ConfigError, finite_float
+from repro.errors import ConfigError, finite_float, integer_seed
 from repro.hw.engine import resolve_degraded_service
 from repro.stats import percentile
 
@@ -765,9 +765,11 @@ def poisson_fault_plan(
     ordering), outage starts arrive with mean spacing ``mtbf`` and last
     ``Exp(mttr)`` each, truncated at ``horizon``.  ``permanent_after``
     (optional) additionally kills each *device* lane permanently at its
-    first outage start past that time.  Deterministic given ``seed``.
+    first outage start past that time.  Deterministic given the integer
+    ``seed``.
     """
     mtbf, mttr, horizon = _drawer_clocks(mtbf, mttr, horizon)
+    seed = integer_seed(seed)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
     permanent: list[tuple[str, float]] = []
@@ -835,8 +837,8 @@ def shock_fault_plan(
     ``groups`` is an iterable of lane groups (a bare string counts as a
     one-lane group); groups and their lanes are canonicalized (sorted,
     deduplicated) before the draw so the plan is independent of input
-    ordering.  Deterministic given ``seed``.  Compose with independent
-    background noise via :meth:`FaultPlan.merge`::
+    ordering.  Deterministic given the integer ``seed``.  Compose with
+    independent background noise via :meth:`FaultPlan.merge`::
 
         plan = poisson_fault_plan(["ndp"], mtbf=20, mttr=1, horizon=60)
         plan = plan.merge(shock_fault_plan(
@@ -844,6 +846,7 @@ def shock_fault_plan(
     """
     rate, mttr, horizon = _drawer_clocks(rate, mttr, horizon, "shock rate")
     group_list = _normalize_groups(groups)
+    seed = integer_seed(seed)
     generator = random.Random(seed)
     outages: list[tuple[str, float, float]] = []
     now = 0.0
@@ -877,8 +880,8 @@ def slowdown_fault_plan(
     exponential failure/repair clocks as :func:`poisson_fault_plan`,
     but each drawn window is a :class:`SlowdownWindow` at ``factor``
     instead of an outage — the lane keeps serving, ``factor``× slower,
-    and nothing is killed.  Deterministic given ``seed``; compose with
-    outage plans via :meth:`FaultPlan.merge`.
+    and nothing is killed.  Deterministic given the integer ``seed``;
+    compose with outage plans via :meth:`FaultPlan.merge`.
     """
     mtbf, mttr, horizon = _drawer_clocks(mtbf, mttr, horizon)
     factor = finite_float(factor, "slowdown factor")
@@ -886,6 +889,7 @@ def slowdown_fault_plan(
         raise ConfigError(
             f"slowdown factor must be > 1.0 (an inflation), got {factor!r}"
         )
+    seed = integer_seed(seed)
     generator = random.Random(seed)
     slowdowns: list[SlowdownWindow] = []
     for lane in sorted(str(lane) for lane in lanes):

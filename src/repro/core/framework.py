@@ -44,10 +44,9 @@ distinct jobs than ``cache_size`` evicts only the overflow, and the
 counters keep their per-job meaning (on a batch that fits: misses =
 distinct jobs, hits = the rest).  The shared batch simulation is scaled
 out by the executor (signature-coalesced super-jobs, contention-sharded
-engines — bit-identical to the plain shared engine), and cold
-placements of never-seen sizes warm-start the exact DP from the nearest
-same-structure neighbor.  The caches live on the framework, compose
-across calls, and are dropped whenever
+engines — bit-identical to the plain shared engine), and a
+never-seen size is placed by the exact DP searched cold.  The caches
+live on the framework, compose across calls, and are dropped whenever
 :meth:`NdftFramework.register_target` changes the machine registry.
 ``NdftFramework(memoize=False)`` is the degenerate grouping where every
 job is its own group and nothing is cached — the serving benchmark
@@ -99,7 +98,6 @@ from repro.core.signature import (
     JobSignature,
     cost_model_fingerprint,
     job_signature,
-    structure_signature,
     target_registry_fingerprint,
 )
 from repro.errors import ConfigError, finite_floats
@@ -541,15 +539,6 @@ class NdftFramework:
         #: entries resolved through ``_pipeline_cache`` share one object,
         #: so duplicate jobs skip re-fingerprinting the registry per job.
         self._signature_cache = LruCache(cache_size)
-        #: Warm-start index for the placement DP: structure signature ->
-        #: {n_atoms: assignments}.  Consulted on schedule-cache misses to
-        #: seed the branch-and-bound bound from the nearest same-shape
-        #: size; never consulted for results.  Bounded like the caches
-        #: (LRU over structures, FIFO cap on sizes per structure) so
-        #: adversarial variety cannot grow it without limit.
-        self._warm_start_index: LruCache = LruCache(cache_size)
-        self._warm_start_hits = 0
-        self._warm_start_misses = 0
         #: Memory footprints are pure functions of the size (and fixed
         #: NDP geometry) — computed once per distinct n_atoms, not per
         #: batch member; bounded for the same reason as the caches.
@@ -621,9 +610,9 @@ class NdftFramework:
 
     @property
     def cache_stats(self) -> dict[str, int]:
-        """Per-cache hit/miss/eviction counters plus placement-DP
-        warm-start telemetry (observability for the serving benchmark
-        and the memoization tests).  Counters survive cache clears."""
+        """Per-cache hit/miss/eviction counters (observability for the
+        serving benchmark and the memoization tests).  Counters survive
+        cache clears."""
         stats: dict[str, int] = {}
         for kind, cache in (
             ("pipeline", self._pipeline_cache),
@@ -635,8 +624,9 @@ class NdftFramework:
             stats[f"{kind}_hits"] = cache.hits
             stats[f"{kind}_misses"] = cache.misses
             stats[f"{kind}_evictions"] = cache.evictions
-        stats["warm_start_hits"] = self._warm_start_hits
-        stats["warm_start_misses"] = self._warm_start_misses
+        # Always 0: the placement DP has no warm start; the key stays for
+        # readers of the old stats layout (the benchmark's cache tracer).
+        stats["warm_start_hits"] = 0
         return stats
 
     @property
@@ -679,7 +669,7 @@ class NdftFramework:
 
     def clear_caches(self) -> None:
         """Drop every memoized pipeline/schedule/SCA/solo-report entry,
-        minted signature, warm-start placement, and the memoized
+        minted signature, footprint, and the memoized
         registry/cost-model fingerprints and fault-lane catalog
         (hit/miss/eviction counters are preserved)."""
         self._pipeline_cache.clear()
@@ -687,7 +677,6 @@ class NdftFramework:
         self._solo_report_cache.clear()
         self._sca_cache.clear()
         self._signature_cache.clear()
-        self._warm_start_index.clear()
         self._footprint_cache.clear()
         self._fingerprints = None
         self._fault_lanes = None
@@ -752,15 +741,14 @@ class NdftFramework:
         """The caches a snapshot persists (save and load both iterate
         this one mapping): exactly the derivation work worth saving
         across processes — the placement DP, the SCA pass, the solo DES
-        run, the warm-start index, the footprint closed forms.  The
-        pipeline and signature caches stay out deliberately: their keys
-        embed builder callables and object ids, which do not survive a
-        process boundary, and rebuilding a pipeline is cheap."""
+        run, the footprint closed forms.  The pipeline and signature
+        caches stay out deliberately: their keys embed builder callables
+        and object ids, which do not survive a process boundary, and
+        rebuilding a pipeline is cheap."""
         return {
             "schedule": self._schedule_cache,
             "solo": self._solo_report_cache,
             "sca": self._sca_cache,
-            "warm_start": self._warm_start_index,
             "footprint": self._footprint_cache,
         }
 
@@ -793,13 +781,11 @@ class NdftFramework:
         parameters they were derived with, so a mismatch raises
         :class:`~repro.errors.ConfigError` rather than serving stale
         numbers.  Entries land via normal puts (LRU bounds and eviction
-        counters apply); signature-keyed entries under equal keys are
-        overwritten with provably identical values, while warm-start
-        index entries — whose per-structure size maps are workload-
-        history-dependent — are *merged*, snapshot sizes under already-
-        known ones, so locally learned hints survive the load.  Payload
-        keys outside the cache table (such as the backend-tuner rows
-        older versions wrote) are ignored, so their snapshots still load.
+        counters apply); entries under equal keys are overwritten with
+        provably identical values.  Payload keys and sections outside
+        the cache table (the backend-tuner rows and warm-start index
+        older versions wrote) are ignored, so their snapshots still
+        load.
 
         Trust caveat: the snapshot is a pickle, deserialized *before*
         the format/fingerprint checks can reject it.  The unpickler
@@ -814,25 +800,6 @@ class NdftFramework:
         loaded = 0
         for name, cache in self._snapshot_caches().items():
             for key, value in payload["caches"].get(name, ()):
-                if name == "warm_start":
-                    existing = cache.peek(key)
-                    if existing is not None:
-                        existing.update(
-                            (size, placements)
-                            for size, placements in value.items()
-                            if size not in existing
-                        )
-                    else:
-                        existing = dict(value)
-                        cache.put(key, existing)
-                    # Re-apply _remember_placement's per-structure FIFO
-                    # cap: a snapshot from a roomier framework must not
-                    # grow a bounded one's index past its own bound.
-                    if self.cache_size is not None:
-                        while len(existing) > self.cache_size:
-                            del existing[next(iter(existing))]
-                    loaded += 1
-                    continue
                 cache.put(key, value)
                 loaded += 1
         return loaded
@@ -874,37 +841,22 @@ class NdftFramework:
         """Fleet merge-back: union a worker's snapshot into this
         framework's caches, counting only *never-seen* entries.
 
-        :meth:`load_caches` is the warm-start direction (overwrite-equal
+        :meth:`load_caches` is the restart direction (overwrite-equal
         semantics are fine because equal keys prove equal values); this
         is the reverse direction — a fleet parent folding what each
         worker replica learned back into the shared snapshot — and it
         must be *idempotent*: a worker's snapshot contains everything
         the parent shipped plus whatever the worker derived, so the
         parent skips keys it already holds and adds only the novel
-        schedules/solo/SCA/footprint entries and warm-start sizes.
-        Merging the same snapshot twice therefore reports 0 new entries
-        the second time (up to LRU capacity pressure).  The same refusal
-        rules as loading apply: format, fingerprint, pristine registry."""
+        schedules/solo/SCA/footprint entries.  Merging the same snapshot
+        twice therefore reports 0 new entries the second time (up to LRU
+        capacity pressure).  The same refusal rules as loading apply:
+        format, fingerprint, pristine registry; sections outside the
+        cache table are ignored, as on load."""
         payload = self._read_snapshot(path, "merge")
         merged = 0
         for name, cache in self._snapshot_caches().items():
             for key, value in payload["caches"].get(name, ()):
-                if name == "warm_start":
-                    existing = cache.peek(key)
-                    if existing is None:
-                        existing = {}
-                        cache.put(key, existing)
-                    for size, placements in value.items():
-                        if size in existing:
-                            continue
-                        if (
-                            self.cache_size is not None
-                            and len(existing) >= self.cache_size
-                        ):
-                            break  # respect the per-structure FIFO cap
-                        existing[size] = placements
-                        merged += 1
-                    continue
                 if key in cache:
                     continue
                 cache.put(key, value)
@@ -1624,9 +1576,9 @@ class NdftFramework:
 
         ``exclude`` is the degraded-placement path after a permanent
         lane failure: the exact DP re-solves over the surviving targets,
-        and both the schedule cache and the warm-start index key the
-        exclusion set alongside the signature/structure — a degraded
-        schedule must never shadow (or be shadowed by) the healthy one.
+        and the schedule cache keys the exclusion set alongside the
+        signature — a degraded schedule must never shadow (or be
+        shadowed by) the healthy one.
         """
         excl = frozenset(exclude) if exclude else frozenset()
         keys = None
@@ -1642,95 +1594,16 @@ class NdftFramework:
         excl: frozenset[Placement],
     ) -> list[Schedule]:
         """One schedule per pipeline, through the schedule cache under
-        ``keys`` (uncached when ``None``).  Cached misses warm-start the
-        placement DP from the nearest same-structure size."""
+        ``keys`` (uncached when ``None``); misses run the exact
+        placement DP."""
         return self._memo(
             self._schedule_cache,
             keys,
             weights,
-            lambda i: self._derive_schedule(
-                pipelines[i], excl, warm=keys is not None
+            lambda i: self.scheduler.schedule(
+                pipelines[i], self.policy, exclude=excl or None
             ),
         )
-
-    def _derive_schedule(
-        self, pipeline: Pipeline, excl: frozenset[Placement], warm: bool
-    ) -> Schedule:
-        """Run the placement DP for one pipeline; with ``warm``, seed it
-        from (and index the result into) the warm-start index."""
-        structure_key = None
-        if warm and self.policy is SchedulingPolicy.COST_AWARE:
-            registry_fp, cost_fp = self.fingerprints()
-            structure_key = structure_signature(
-                pipeline,
-                self.policy,
-                self.scheduler,
-                self.cost_model,
-                registry_fp=registry_fp,
-                cost_fp=cost_fp,
-            )
-            if excl:
-                structure_key = (structure_key, _exclusion_key(excl))
-        schedule = self.scheduler.schedule(
-            pipeline,
-            self.policy,
-            warm_start=self._warm_start_hint(pipeline, structure_key),
-            exclude=excl or None,
-        )
-        self._remember_placement(pipeline, schedule, structure_key)
-        return schedule
-
-    def _warm_start_hint(
-        self, pipeline: Pipeline, structure_key: tuple | None
-    ) -> dict[str, Placement] | None:
-        """The cached placement of the nearest same-structure size, as a
-        branch-and-bound seed for the placement DP.  A hint only prunes
-        provably suboptimal DP states, so the returned schedule is
-        bit-identical to a cold search — stale or mismatched hints cost
-        nothing but the lookup."""
-        if structure_key is None:
-            return None
-        neighbors = self._warm_start_index.get(structure_key)
-        if not neighbors:
-            self._warm_start_misses += 1
-            return None
-        n_atoms = pipeline.problem.n_atoms
-        nearest = min(neighbors, key=lambda size: (abs(size - n_atoms), size))
-        # Placements are stored name-free (topological order), so a
-        # same-shape pipeline with different stage names rehydrates to
-        # its own names here.
-        hint = CostAwareScheduler.rehydrate_placements(
-            pipeline, neighbors[nearest]
-        )
-        if hint is None:
-            self._warm_start_misses += 1
-            return None
-        self._warm_start_hits += 1
-        return hint
-
-    def _remember_placement(
-        self,
-        pipeline: Pipeline,
-        schedule: Schedule,
-        structure_key: tuple | None,
-    ) -> None:
-        """Index a freshly-computed placement for future warm starts."""
-        if structure_key is None:
-            return
-        key = structure_key
-        neighbors = self._warm_start_index.peek(key)
-        if neighbors is None:
-            neighbors = {}
-            self._warm_start_index.put(key, neighbors)
-        neighbors[pipeline.problem.n_atoms] = (
-            CostAwareScheduler.normalize_placements(
-                pipeline, schedule.assignments
-            )
-        )
-        # FIFO cap on sizes per structure: hints are a heuristic, so
-        # dropping the oldest size costs at most a colder search.
-        if self.cache_size is not None and len(neighbors) > self.cache_size:
-            del neighbors[next(iter(neighbors))]
 
     def _solo_report(
         self,

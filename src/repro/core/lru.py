@@ -105,10 +105,6 @@ class LruCache:
             values = [values[first[key]] for key in keys]
         return values
 
-    def peek(self, key: Hashable, default: Any = None) -> Any:
-        """Uncounted lookup that does not touch recency or counters."""
-        return self._data.get(key, default)
-
     def items(self) -> list[tuple[Hashable, Any]]:
         """Every (key, value) pair in LRU-to-MRU order, without touching
         recency or counters — what cache snapshots persist."""

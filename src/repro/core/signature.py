@@ -104,46 +104,3 @@ def job_signature(
         registry_fingerprint=registry_fp,
         cost_model_fingerprint=cost_fp,
     )
-
-
-def structure_signature(
-    pipeline: Pipeline,
-    policy: SchedulingPolicy,
-    scheduler: CostAwareScheduler,
-    cost_model: OffloadCostModel,
-    *,
-    registry_fp: tuple | None = None,
-    cost_fp: tuple | None = None,
-) -> tuple:
-    """The size-blind sibling of :func:`job_signature`.
-
-    Covers the pipeline's *shape* — stage count and edge topology with
-    stages identified by topological position, not by name — plus
-    everything else a placement decision depends on.  Name
-    normalization is deliberate: two same-shape DAGs whose stages are
-    merely labelled differently (k-point pipelines built under another
-    naming convention, hand-assembled chains) share a signature, so the
-    framework can warm-start the placement DP for one from the other's
-    cached assignment (stored name-free via
-    :meth:`~repro.core.scheduler.CostAwareScheduler.normalize_placements`).
-    Unlike the job signature this is a *heuristic* key: it only seeds a
-    bound, never a result, so collisions cost time, not correctness.
-    """
-    position = {
-        name: index
-        for index, name in enumerate(pipeline.topological_order)
-    }
-    if registry_fp is None:
-        registry_fp = target_registry_fingerprint(scheduler)
-    if cost_fp is None:
-        cost_fp = cost_model_fingerprint(cost_model)
-    return (
-        len(position),
-        tuple(
-            (position[edge.src], position[edge.dst])
-            for edge in pipeline.edges
-        ),
-        policy,
-        registry_fp,
-        cost_fp,
-    )

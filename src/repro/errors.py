@@ -62,12 +62,15 @@ def finite_float(value, what: str, error: type[ReproError] = ConfigError) -> flo
     """``value`` as a float; raises ``error`` naming ``what`` unless it
     is a finite real number (NaN and infinities slip through ordinary
     ``<``/``>`` range checks, and would otherwise surface as a NaN
-    result far from the input that caused it)."""
+    result far from the input that caused it).  Text is refused even
+    when it spells a number: ``float`` would parse ``"1"``, but
+    ``math.isfinite`` takes real numbers only."""
     try:
         number = float(value)
-    except (TypeError, ValueError):
+        finite = math.isfinite(value)
+    except (TypeError, ValueError, OverflowError):
         raise error(f"{what} must be a finite number, got {value!r}") from None
-    if not math.isfinite(number):
+    if not finite:
         raise error(f"{what} must be a finite number, got {value!r}")
     return number
 
@@ -76,16 +79,31 @@ def finite_floats(
     values: Iterable, what: str, error: type[ReproError] = ConfigError
 ) -> list[float]:
     """``values`` as a list of floats; raises ``error`` naming the index
-    of the first entry :func:`finite_float` rejects."""
+    of the first entry :func:`finite_float` rejects.  The finiteness
+    pass runs over the raw values, so it refuses text as well."""
     values = list(values)
     try:
         floats = list(map(float, values))
-    except (TypeError, ValueError):
-        floats = None
-    if floats is None or not all(map(math.isfinite, floats)):
+        valid = all(map(math.isfinite, values))
+    except (TypeError, ValueError, OverflowError):
+        valid = False
+    if not valid:
         for index, value in enumerate(values):
             finite_float(value, f"{what} {index}", error)
     return floats
+
+
+def integer_seed(value) -> int:
+    """``value`` as an int seed; raises :class:`ConfigError` for
+    ``None`` (which would draw from OS entropy and break
+    reproducibility), bools, floats and anything else
+    :func:`operator.index` rejects."""
+    if value is not None and not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise ConfigError(f"seed must be an integer, got {value!r}")
 
 
 def positive_int(value, what: str) -> int:

@@ -46,6 +46,10 @@ from repro.fleet.result import FleetResult, ReplicaSummary
 from repro.fleet.router import RoutingPlan, route_jobs
 from repro.hw.config import SystemConfig
 
+#: Worker start method: spawn, so no worker inherits the parent's
+#: caches or patched state through a fork.
+START_METHOD = "spawn"
+
 
 def _serve_replica(payload: dict) -> dict:
     """One worker's whole serve step: build the replica framework, load
@@ -112,7 +116,6 @@ class WorkerPool:
         cache_size: int | None = NdftFramework.DEFAULT_CACHE_SIZE,
         snapshot_path: Path | str | None = None,
         inline: bool = False,
-        start_method: str = "spawn",
     ):
         if n_replicas < 1:
             raise ConfigError(
@@ -120,7 +123,6 @@ class WorkerPool:
             )
         self.n_replicas = n_replicas
         self.inline = inline
-        self._start_method = start_method
         self.snapshot_path = (
             None if snapshot_path is None else Path(snapshot_path)
         )
@@ -168,7 +170,7 @@ class WorkerPool:
 
     def _process_pool(self):
         if self._pool is None:
-            context = multiprocessing.get_context(self._start_method)
+            context = multiprocessing.get_context(START_METHOD)
             self._pool = context.Pool(processes=self.n_replicas)
         return self._pool
 

@@ -7,7 +7,9 @@ import pickle
 import pytest
 
 from repro.core.framework import NdftFramework
+from repro.core.pipeline import build_pipeline
 from repro.core.scheduler import Placement, SchedulingPolicy
+from repro.dft.workload import problem_size
 from repro.errors import ConfigError
 
 SIZES = [64, 128, 512, 1024]
@@ -35,35 +37,6 @@ class TestSaveLoadRoundTrip:
         assert (
             after.batch_report.job_reports == before.batch_report.job_reports
         )
-
-    def test_warm_start_index_survives_restart(self, tmp_path):
-        """A never-snapshotted *size* still warm-starts off the loaded
-        placement index."""
-        warm = NdftFramework()
-        warm.run_many(SIZES)
-        path = warm.save_caches(tmp_path / "caches.pkl")
-
-        restarted = NdftFramework()
-        restarted.load_caches(path)
-        restarted.run(n_atoms=2048)  # never seen by the saver
-        assert restarted.cache_stats["warm_start_hits"] == 1
-        assert restarted.cache_stats["warm_start_misses"] == 0
-
-    def test_load_merges_warm_start_index_per_size(self, tmp_path):
-        """Warm-start entries are workload-history-dependent, so a load
-        must not wipe locally learned sizes under a shared structure
-        key: snapshot sizes merge in under the already-known ones."""
-        saver = NdftFramework()
-        saver.run(n_atoms=1024)
-        path = saver.save_caches(tmp_path / "caches.pkl")
-
-        loader = NdftFramework()
-        loader.run(n_atoms=64)  # learns size 64 under the same structure
-        loader.load_caches(path)
-        merged = next(
-            sizes for _key, sizes in loader._warm_start_index.items()
-        )
-        assert set(merged) == {64, 1024}
 
     def test_load_merges_instead_of_clobbering(self, tmp_path):
         saver = NdftFramework()
@@ -117,6 +90,62 @@ class TestSaveLoadRoundTrip:
             > 0
         )
 
+    def test_legacy_warm_start_section_is_ignored(self, tmp_path):
+        """Snapshots written while the placement DP had a warm start
+        carry a ``warm_start`` section (structure key -> {n_atoms:
+        placements in topological order}) under the same format 1.
+        Loading and merging skip it, and the next ``run_many`` reports
+        the saver's floats without re-deriving a schedule."""
+        saver = NdftFramework()
+        before = saver.run_many(SIZES)
+        path = saver.save_caches(tmp_path / "caches.pkl")
+        payload = pickle.loads(path.read_bytes())
+        assert "warm_start" not in payload["caches"]
+        registry_fp, cost_fp = saver.fingerprints()
+        placements = {}
+        for n_atoms in SIZES:
+            pipeline = build_pipeline(problem_size(n_atoms))
+            assignments = saver.scheduler.schedule(pipeline).assignments
+            placements[n_atoms] = tuple(
+                assignments[name] for name in pipeline.topological_order
+            )
+        chain = tuple((i, i + 1) for i in range(len(pipeline.stages) - 1))
+        structure_key = (
+            len(pipeline.stages),
+            chain,
+            saver.policy,
+            registry_fp,
+            cost_fp,
+        )
+        legacy = tmp_path / "legacy.pkl"
+        legacy.write_bytes(
+            pickle.dumps(
+                {
+                    **payload,
+                    "caches": {
+                        **payload["caches"],
+                        "warm_start": [(structure_key, placements)],
+                    },
+                }
+            )
+        )
+        entries = sum(len(items) for items in payload["caches"].values())
+        loader = NdftFramework()
+        assert loader.load_caches(legacy) == entries
+        after = loader.run_many(SIZES)
+        assert loader.cache_stats["schedule_misses"] == 0
+        assert after.makespan == before.makespan
+        assert after.solo_times == before.solo_times
+        assert (
+            after.batch_report.job_reports == before.batch_report.job_reports
+        )
+        merger = NdftFramework()
+        assert merger.merge_caches(legacy) == entries
+        assert merger.merge_caches(legacy) == 0
+        merged = merger.run_many(SIZES)
+        assert merger.cache_stats["schedule_misses"] == 0
+        assert merged.makespan == before.makespan
+        assert merged.solo_times == before.solo_times
 
     @pytest.mark.parametrize(
         "rows",

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.arrivals import AdmissionPolicy, poisson_arrivals
+from repro.core.faults import FaultPlan, RetryPolicy, poisson_fault_plan
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_kpoint_pipeline, build_pipeline
 from repro.dft.workload import problem_size
@@ -105,6 +106,40 @@ class TestNonFiniteInputsRejected:
         with WorkerPool(1, inline=True) as pool:
             with pytest.raises(ConfigError, match="arrival offset 1"):
                 pool.serve([64, 64], arrivals=[0.0, math.nan])
+
+
+class TestTextInputsRejected:
+    """``float`` parses numeric strings, so without a type check ``"1"``
+    would pass for a number wherever a boundary converts with it."""
+
+    def test_fault_plan_windows(self):
+        with pytest.raises(ConfigError, match="outage start"):
+            FaultPlan(outages=(("ndp", "1", "2"),))
+        with pytest.raises(ConfigError, match="outage end"):
+            FaultPlan(outages=(("ndp", 1.0, b"2"),))
+
+    def test_retry_policy(self):
+        with pytest.raises(ConfigError, match="backoff_base"):
+            RetryPolicy(backoff_base="0.1")
+        with pytest.raises(ConfigError, match="job_timeout"):
+            RetryPolicy(job_timeout="5")
+
+    def test_run_many_arrivals(self):
+        with pytest.raises(ConfigError, match="arrival offset 1"):
+            NdftFramework().run_many([64, 64], arrivals=[0.0, "1.0"])
+
+    def test_poisson_fault_plan(self):
+        with pytest.raises(ConfigError, match="mtbf"):
+            poisson_fault_plan(["ndp"], "1.0", 1.0, 10.0)
+
+    def test_admission_policy(self):
+        with pytest.raises(ConfigError, match="slo_p99"):
+            AdmissionPolicy(slo_p99="2.0")
+
+    def test_admission_policy_stores_the_validated_float(self):
+        policy = AdmissionPolicy(slo_p99=2)
+        assert type(policy.slo_p99) is float
+        assert policy.to_json_dict()["slo_p99"] == 2.0
 
 
 #: Prebuilt pipelines shared across examples, so batches repeat the

@@ -24,8 +24,9 @@ def gpu_framework():
 class TestDpMatchesOracle:
     """The acceptance property: the DP is exact, enumeration is the oracle."""
 
-    def test_chain_matches_exhaustive(self, framework):
-        pipeline = build_pipeline(problem_size(64))
+    @pytest.mark.parametrize("n_atoms", [16, 64, 200, 512, 1024, 2048])
+    def test_chain_matches_exhaustive(self, framework, n_atoms):
+        pipeline = build_pipeline(problem_size(n_atoms))
         dp = framework.scheduler.schedule(pipeline, SchedulingPolicy.COST_AWARE)
         oracle = framework.scheduler._exhaustive_best(pipeline)
         assert dp.predicted_total == pytest.approx(

@@ -29,6 +29,8 @@ from repro.core.faults import (
     ResilienceReport,
     RetryPolicy,
     poisson_fault_plan,
+    shock_fault_plan,
+    slowdown_fault_plan,
 )
 from repro.core.framework import NdftFramework
 from repro.core.pipeline import build_pipeline
@@ -218,6 +220,30 @@ class TestFaultPlanConstruction:
         assert not one.is_empty
         other_seed = poisson_fault_plan(["ndp", "cpu"], **dict(kwargs, seed=12))
         assert one.digest() != other_seed.digest()
+
+    @pytest.mark.parametrize(
+        "draw",
+        [
+            lambda seed: poisson_fault_plan(
+                ["ndp"], 1.0, 1.0, 10.0, seed=seed
+            ),
+            lambda seed: shock_fault_plan(
+                [("ndp", "cpu")], 1.0, 1.0, 10.0, seed=seed
+            ),
+            lambda seed: slowdown_fault_plan(
+                ["ndp"], 1.0, 1.0, 10.0, 2.0, seed=seed
+            ),
+        ],
+        ids=["poisson", "shock", "slowdown"],
+    )
+    def test_drawers_require_an_integer_seed(self, draw):
+        """``seed=None`` would draw from OS entropy while the plan
+        records ``seed: null``; bools and floats are typos.  All raise,
+        and an equal integer seed always draws an equal plan."""
+        for bad in (None, True, 1.5):
+            with pytest.raises(ConfigError, match="seed"):
+                draw(bad)
+        assert draw(5).digest() == draw(5).digest()
 
     def test_poisson_permanent_after_kills_device_lanes(self):
         plan = poisson_fault_plan(
